@@ -1,6 +1,6 @@
 # Convenience targets; the source of truth is dune.
 
-.PHONY: all build test bench bench-json bench-compare bench-baseline census-dist scale-smoke verify clean
+.PHONY: all build test bench bench-json bench-fresh bench-compare bench-baseline census-dist scale-smoke verify clean
 
 all: build
 
@@ -17,38 +17,31 @@ bench:
 bench-json:
 	dune exec bench/main.exe -- --quick --json BENCH_$(shell git rev-parse --short HEAD).json
 
+# fresh timings of every row in BENCH_baseline.json; bench-compare and
+# bench-baseline differ only in what they do with them
+BENCH_FRESH = /tmp/bncg_bench_fresh.json /tmp/bncg_loadgen_fresh.json \
+  /tmp/bncg_pipelined_fresh.json /tmp/bncg_atlas_fresh.json \
+  /tmp/bncg_scaledyn_fresh.json /tmp/bncg_orderly_fresh.json
+
+bench-fresh:
+	dune exec bench/main.exe -- --quick --json /tmp/bncg_bench_fresh.json
+	dune exec bench/loadgen.exe -- --json /tmp/bncg_loadgen_fresh.json
+	dune exec bench/loadgen.exe -- --requests 100000 --pipeline 64 --conns 8 \
+	  --json /tmp/bncg_pipelined_fresh.json
+	rm -rf /tmp/bncg_atlas_bench
+	dune exec bench/loadgen.exe -- --atlas /tmp/bncg_atlas_bench \
+	  --json /tmp/bncg_atlas_fresh.json
+	dune exec bench/scaledyn.exe -- --quick --json /tmp/bncg_scaledyn_fresh.json
+	dune exec bench/orderlybench.exe -- --quick --json /tmp/bncg_orderly_fresh.json
+
 # local version of the CI perf gate (tight default tolerance; CI passes
 # a wider one because hosted runners are noisier)
-bench-compare:
-	dune exec bench/main.exe -- --quick --json /tmp/bncg_bench_fresh.json
-	dune exec bench/loadgen.exe -- --json /tmp/bncg_loadgen_fresh.json
-	dune exec bench/loadgen.exe -- --requests 100000 --pipeline 64 --conns 8 \
-	  --json /tmp/bncg_pipelined_fresh.json
-	rm -rf /tmp/bncg_atlas_bench
-	dune exec bench/loadgen.exe -- --atlas /tmp/bncg_atlas_bench \
-	  --json /tmp/bncg_atlas_fresh.json
-	dune exec bench/scaledyn.exe -- --quick --json /tmp/bncg_scaledyn_fresh.json
-	dune exec bench/orderlybench.exe -- --quick --json /tmp/bncg_orderly_fresh.json
-	dune exec bench/compare.exe -- --baseline BENCH_baseline.json \
-	  /tmp/bncg_bench_fresh.json /tmp/bncg_loadgen_fresh.json \
-	  /tmp/bncg_pipelined_fresh.json /tmp/bncg_atlas_fresh.json \
-	  /tmp/bncg_scaledyn_fresh.json /tmp/bncg_orderly_fresh.json
+bench-compare: bench-fresh
+	dune exec bench/compare.exe -- --baseline BENCH_baseline.json $(BENCH_FRESH)
 
 # refresh the committed baseline after an intentional perf change
-bench-baseline:
-	dune exec bench/main.exe -- --quick --json /tmp/bncg_bench_fresh.json
-	dune exec bench/loadgen.exe -- --json /tmp/bncg_loadgen_fresh.json
-	dune exec bench/loadgen.exe -- --requests 100000 --pipeline 64 --conns 8 \
-	  --json /tmp/bncg_pipelined_fresh.json
-	rm -rf /tmp/bncg_atlas_bench
-	dune exec bench/loadgen.exe -- --atlas /tmp/bncg_atlas_bench \
-	  --json /tmp/bncg_atlas_fresh.json
-	dune exec bench/scaledyn.exe -- --quick --json /tmp/bncg_scaledyn_fresh.json
-	dune exec bench/orderlybench.exe -- --quick --json /tmp/bncg_orderly_fresh.json
-	dune exec bench/compare.exe -- --merge BENCH_baseline.json \
-	  /tmp/bncg_bench_fresh.json /tmp/bncg_loadgen_fresh.json \
-	  /tmp/bncg_pipelined_fresh.json /tmp/bncg_atlas_fresh.json \
-	  /tmp/bncg_scaledyn_fresh.json /tmp/bncg_orderly_fresh.json
+bench-baseline: bench-fresh
+	dune exec bench/compare.exe -- --merge BENCH_baseline.json $(BENCH_FRESH)
 
 # distributed-census acceptance gate: healthy / flaky / crash / resume
 # phases over real sockets, each gated on byte-identity with the

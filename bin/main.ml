@@ -486,17 +486,23 @@ let print_graph_census (c : Census.graph_census) =
     (fun g -> Printf.printf "  representative: %s\n" (Graph6.encode g))
     c.Census.equilibria_iso
 
-let census game n trees strategy jobs workers parts retries timeout journal
-    atlas_dir stats stats_json =
+let print_census = function
+  | Census.Tree_result c -> print_tree_census c
+  | Census.Graph_result c | Census.Orderly_result c -> print_graph_census c
+
+let census game n trees jobs workers parts retries timeout journal atlas_dir
+    stats stats_json =
   with_stats stats stats_json @@ fun () ->
-  if trees && strategy = `Orderly then
-    invalid_arg "--strategy orderly applies to the graph census, not --trees";
-  if strategy = `Orderly && (not trees) && not (Game.is_basic game) then
-    invalid_arg
-      (Printf.sprintf
-         "--strategy orderly requires an isomorphism-invariant game (sum or \
-          max); %s verdicts depend on the labeling through edge ownership"
-         (Game.to_string game));
+  (* the game picks the graph census: orderly generation for the
+     isomorphism-invariant basic games (byte-identical output, far faster
+     and reaching n = 11), the rank-range sweep for the α-game, whose
+     verdicts depend on the labeling through edge ownership *)
+  let kind =
+    if trees then Census.Trees
+    else if Game.is_basic game then Census.Orderly
+    else Census.Graphs
+  in
+  let shard = Census.full_shard kind game n in
   let atlas =
     match atlas_dir with
     | None -> None
@@ -519,25 +525,9 @@ let census game n trees strategy jobs workers parts retries timeout journal
   Fun.protect ~finally:finish @@ fun () ->
   if workers = [] then
     with_jobs jobs @@ fun pool ->
-    if trees then begin
-      print_tree_census (Census.tree_census ~pool game n);
-      `Ok ()
-    end
-    else begin
-      (* both strategies print through the same function: the orderly
-         census record is byte-identical to the rank-range one wherever
-         both can run (CI diffs them) *)
-      print_graph_census
-        (match strategy with
-        | `Orderly -> Census.orderly_census ?atlas ~pool game n
-        | `Rank -> Census.graph_census ?atlas ~pool game n);
-      `Ok ()
-    end
+    print_census (Census.run_shard ?atlas ~pool shard);
+    `Ok ()
   else begin
-    let kind =
-      if trees then Census.Trees
-      else match strategy with `Orderly -> Census.Orderly | `Rank -> Census.Graphs
-    in
     let workers =
       List.mapi
         (fun i -> function
@@ -556,12 +546,10 @@ let census game n trees strategy jobs workers parts retries timeout journal
         atlas;
       }
     in
-    match Dispatch.run cfg (Census.full_shard kind game n) with
+    match Dispatch.run cfg shard with
     | Error msg -> `Error (false, msg)
     | Ok (result, st) ->
-      (match result with
-      | Census.Tree_result c -> print_tree_census c
-      | Census.Graph_result c | Census.Orderly_result c -> print_graph_census c);
+      print_census result;
       Printf.eprintf
         "dispatch: %d shards, %d journal hits, %d dispatched, %d retried, %d recovered\n"
         st.Dispatch.shards st.Dispatch.journal_hits st.Dispatch.dispatched
@@ -592,21 +580,16 @@ let worker_conv =
 
 let census_cmd =
   let game = Arg.(value & opt game_conv Game.Sum & info [ "game" ] ~doc:game_doc) in
-  let n = Arg.(value & opt int 5 & info [ "n" ] ~doc:"Vertex count (graphs <= 8, trees <= 10).") in
-  let trees = Arg.(value & flag & info [ "trees" ] ~doc:"Census over trees instead of all connected graphs.") in
-  let strategy =
+  let n =
     let doc =
-      "How the graph census enumerates isomorphism classes: $(b,rank) \
-       walks the rank-range space of labeled graphs and dedups by \
-       canonical form; $(b,orderly) generates one representative per \
-       class by canonical construction path (no dedup, reaches higher \
-       $(b,-n)). Output is byte-identical between the two."
+      Printf.sprintf "Vertex count (trees <= %d, sum/max <= %d, alpha <= %d)."
+        (Census.max_shard_vertices Census.Trees)
+        (Census.max_shard_vertices Census.Orderly)
+        (Census.max_shard_vertices Census.Graphs)
     in
-    Arg.(
-      value
-      & opt (enum [ ("rank", `Rank); ("orderly", `Orderly) ]) `Rank
-      & info [ "strategy" ] ~docv:"STRATEGY" ~doc)
+    Arg.(value & opt int 5 & info [ "n" ] ~doc)
   in
+  let trees = Arg.(value & flag & info [ "trees" ] ~doc:"Census over trees instead of all connected graphs.") in
   let workers =
     let doc =
       "Distribute the census across this worker fleet instead of running \
@@ -655,18 +638,18 @@ let census_cmd =
     in
     Arg.(value & opt (some string) None & info [ "atlas" ] ~docv:"DIR" ~doc)
   in
-  let run game n trees strategy jobs workers parts retries timeout journal
-      atlas stats stats_json =
+  let run game n trees jobs workers parts retries timeout journal atlas stats
+      stats_json =
     try
-      census game n trees strategy jobs workers parts retries timeout journal
-        atlas stats stats_json
+      census game n trees jobs workers parts retries timeout journal atlas stats
+        stats_json
     with Invalid_argument msg -> `Error (false, msg)
   in
   Cmd.v
     (Cmd.info "census" ~doc:"Exhaustively classify equilibria on small vertex counts")
     Term.(
       ret
-        (const run $ game $ n $ trees $ strategy $ jobs_arg $ workers $ parts
+        (const run $ game $ n $ trees $ jobs_arg $ workers $ parts
         $ retries $ timeout $ journal $ atlas $ stats_arg $ stats_json_arg))
 
 (* --- experiment -------------------------------------------------------------- *)
@@ -952,7 +935,13 @@ let call_cmd =
     Arg.(value & opt (some string) None & info [ "graph6" ] ~docv:"GRAPH6" ~doc:"Graph for info/check.")
   in
   let kind =
-    Arg.(value & opt (some string) None & info [ "kind" ] ~doc:"Census kind: trees or graphs.")
+    let doc =
+      "Census kind: "
+      ^ String.concat ", "
+          (List.map Census.kind_name [ Census.Trees; Census.Graphs; Census.Orderly ])
+      ^ "."
+    in
+    Arg.(value & opt (some string) None & info [ "kind" ] ~doc)
   in
   let n = Arg.(value & opt (some int) None & info [ "n" ] ~doc:"Census vertex count.") in
   let lo = Arg.(value & opt (some int) None & info [ "lo" ] ~doc:"Census shard start rank.") in

@@ -1,7 +1,7 @@
-(* Shard spans cover one [fold ~lo ~hi] range each; the sequential census
-   is the single-shard case, so [census.shard.calls] doubles as the shard
+(* Shard spans cover one sequential [run_shard] range each (a pooled run
+   records one per chunk), so [census.shard.calls] doubles as the shard
    count of the last run. Canonical hits are equilibria whose isomorphism
-   class was already represented inside the shard. *)
+   class was already represented inside the shard or by a lower shard. *)
 let m_shard = Telemetry.span "census.shard"
 
 let m_trees = Telemetry.counter "census.trees_classified"
@@ -20,116 +20,64 @@ type tree_census = {
   witnesses_verified : int;
 }
 
-(* Mutable per-shard accumulator: the sequential census is the
-   single-shard case, and the parallel census merges one of these per
-   chunk (all fields combine with + or max, so merge order is
-   irrelevant). *)
-type tree_tally = {
-  mutable t_total : int;
-  mutable t_equilibria : int;
-  mutable t_stars : int;
-  mutable t_double_stars : int;
-  mutable t_max_diameter : int;
-  mutable t_witnesses : int;
-}
-
-let fresh_tally () =
+let empty_tree_census n =
   {
-    t_total = 0;
-    t_equilibria = 0;
-    t_stars = 0;
-    t_double_stars = 0;
-    t_max_diameter = 0;
-    t_witnesses = 0;
+    n;
+    total = 0;
+    equilibria = 0;
+    stars = 0;
+    double_stars = 0;
+    max_eq_diameter = 0;
+    witnesses_verified = 0;
   }
 
-let merge_tally a b =
-  {
-    t_total = a.t_total + b.t_total;
-    t_equilibria = a.t_equilibria + b.t_equilibria;
-    t_stars = a.t_stars + b.t_stars;
-    t_double_stars = a.t_double_stars + b.t_double_stars;
-    t_max_diameter = max a.t_max_diameter b.t_max_diameter;
-    t_witnesses = a.t_witnesses + b.t_witnesses;
-  }
-
-let classify_tree game tally g =
-  let record_eq g =
+(* Folds one tree into the shard's census: equilibria are tallied by
+   shape, every other tree must yield a verified improving witness. *)
+let classify_tree game c g =
+  let c = { c with total = c.total + 1 } in
+  let record_eq () =
     (* the shape classification is cheap; cross-validate every accepted
        tree against the generic checker so the census is fully verified *)
     assert (Equilibrium.is_equilibrium game g);
-    tally.t_equilibria <- tally.t_equilibria + 1;
-    if Tree_eq.is_star g then tally.t_stars <- tally.t_stars + 1;
-    if Tree_eq.is_double_star g then
-      tally.t_double_stars <- tally.t_double_stars + 1;
-    match Metrics.diameter g with
-    | Some d -> if d > tally.t_max_diameter then tally.t_max_diameter <- d
-    | None -> assert false
+    let d = match Metrics.diameter g with Some d -> d | None -> assert false in
+    let count p = if p g then 1 else 0 in
+    {
+      c with
+      equilibria = c.equilibria + 1;
+      stars = c.stars + count Tree_eq.is_star;
+      double_stars = c.double_stars + count Tree_eq.is_double_star;
+      max_eq_diameter = max c.max_eq_diameter d;
+    }
   in
-  tally.t_total <- tally.t_total + 1;
+  let witnessed () = { c with witnesses_verified = c.witnesses_verified + 1 } in
   Telemetry.incr m_trees;
   match game with
   | Game.Sum ->
-    if Tree_eq.is_star g then record_eq g
+    if Tree_eq.is_star g then record_eq ()
     else begin
       (* Theorem 1 witness: verified-improving swap on every non-star *)
       match Tree_eq.theorem1_witness g with
-      | Some _ -> tally.t_witnesses <- tally.t_witnesses + 1
+      | Some _ -> witnessed ()
       | None ->
         (* diameter <= 2 tree that is not a star: impossible *)
         assert false
     end
   | Game.Max ->
-    if Tree_eq.max_eq_tree g then record_eq g
+    if Tree_eq.max_eq_tree g then record_eq ()
     else begin
       match Tree_eq.theorem4_witness g with
-      | Some _ -> tally.t_witnesses <- tally.t_witnesses + 1
+      | Some _ -> witnessed ()
       | None ->
         (* diameter <= 3 non-equilibrium: confirm with the generic
            checker that an improving move indeed exists *)
         assert (not (Equilibrium.is_max_equilibrium g));
-        tally.t_witnesses <- tally.t_witnesses + 1
+        witnessed ()
     end
   | Game.Alpha _ ->
     (* no closed-form shape theorem for the α-game: the generic checker
        is both the classifier and, on non-equilibria, the witness (it
        exhibits the improving Buy/Sell/Swap_owned move) *)
-    if Equilibrium.is_equilibrium game g then record_eq g
-    else tally.t_witnesses <- tally.t_witnesses + 1
-
-let census_of_tally n t =
-  {
-    n;
-    total = t.t_total;
-    equilibria = t.t_equilibria;
-    stars = t.t_stars;
-    double_stars = t.t_double_stars;
-    max_eq_diameter = t.t_max_diameter;
-    witnesses_verified = t.t_witnesses;
-  }
-
-let tree_census ?pool game n =
-  let tally =
-    match pool with
-    | Some pool when Pool.jobs pool > 1 ->
-      (* shard the Prüfer rank space; each chunk re-seeds its own
-         odometer, so shards are independent and cover [0, n^(n-2)) *)
-      Pool.fold_chunks pool ~n:(Enumerate.count_trees n)
-        ~fold:(fun ~lo ~hi ->
-          let t0 = Telemetry.start () in
-          let tally = fresh_tally () in
-          Enumerate.trees_in n ~lo ~hi (classify_tree game tally);
-          Telemetry.stop m_shard t0;
-          tally)
-        ~reduce:merge_tally ~zero:(fresh_tally ())
-    | _ ->
-      let t0 = Telemetry.start () in
-      let tally = fresh_tally () in
-      Enumerate.trees n (classify_tree game tally);
-      Telemetry.stop m_shard t0;
-      tally
-  in
-  census_of_tally n tally
+    if Equilibrium.is_equilibrium game g then record_eq () else witnessed ()
 
 let merge_tree_census a b =
   if a.n <> b.n then invalid_arg "Census.merge_tree_census: different n";
@@ -152,17 +100,20 @@ type graph_census = {
   max_diameter : int;
 }
 
-(* One shard of the connected-graph sweep: counts plus the first
-   representative of each isomorphism class in mask order. Keeping reps
-   as an ordered assoc list makes the chunk-ordered merge reproduce the
-   sequential first-seen choice exactly. *)
-type graph_shard = {
-  s_connected : int;
-  s_labeled : int;
-  s_reps : (string * Graph.t) list;
-}
-
-let empty_shard = { s_connected = 0; s_labeled = 0; s_reps = [] }
+let graph_census_of n ~connected ~labeled iso =
+  let diams =
+    List.map
+      (fun g -> match Metrics.diameter g with Some d -> d | None -> assert false)
+      iso
+  in
+  {
+    n;
+    connected;
+    equilibria_labeled = labeled;
+    equilibria_iso = iso;
+    diameter_histogram = Stats.histogram (Array.of_list diams);
+    max_diameter = List.fold_left max 0 diams;
+  }
 
 (* Atlas key for one labeled graph's equilibrium verdict. The verdict is
    per labeled graph (graph6), not per isomorphism class, so a probe can
@@ -184,12 +135,13 @@ let is_equilibrium_via ?atlas game g =
           Atlas.add a ~key ~value:(if r then "1" else "0");
           r)
 
-let graph_shard_of_range ?atlas game n ~lo ~hi =
+(* One rank-range shard of the connected-graph sweep: counts plus the
+   first representative of each isomorphism class in mask order. *)
+let rank_census_in ?atlas game n ~lo ~hi =
   let connected = ref 0 in
   let labeled = ref 0 in
   let seen = Hashtbl.create 64 in
   let reps = ref [] in
-  let t0 = Telemetry.start () in
   Enumerate.connected_graphs_in n ~lo ~hi (fun g ->
       incr connected;
       if is_equilibrium_via ?atlas game g then begin
@@ -199,79 +151,32 @@ let graph_shard_of_range ?atlas game n ~lo ~hi =
         else begin
           Telemetry.incr m_canon_misses;
           Hashtbl.add seen key ();
-          reps := (key, g) :: !reps
+          reps := g :: !reps
         end
       end);
-  Telemetry.stop m_shard t0;
-  { s_connected = !connected; s_labeled = !labeled; s_reps = List.rev !reps }
-
-let merge_shard a b =
-  (* first-seen-wins per class; [a] precedes [b] in mask order. The rep
-     lists are a handful of equilibrium classes, so the quadratic assoc
-     scan is noise next to the enumeration itself. *)
-  let fresh =
-    List.filter (fun (k, _) -> not (List.mem_assoc k a.s_reps)) b.s_reps
-  in
-  (* representatives discovered independently in two shards are canonical
-     hits resolved at merge time rather than inside a shard *)
-  Telemetry.add m_canon_hits (List.length b.s_reps - List.length fresh);
-  {
-    s_connected = a.s_connected + b.s_connected;
-    s_labeled = a.s_labeled + b.s_labeled;
-    s_reps = a.s_reps @ fresh;
-  }
-
-let census_of_graph_shard n shard =
-  let iso = List.map snd shard.s_reps in
-  let diams =
-    List.map
-      (fun g -> match Metrics.diameter g with Some d -> d | None -> assert false)
-      iso
-  in
-  {
-    n;
-    connected = shard.s_connected;
-    equilibria_labeled = shard.s_labeled;
-    equilibria_iso = iso;
-    diameter_histogram = Stats.histogram (Array.of_list diams);
-    max_diameter = List.fold_left max 0 diams;
-  }
-
-let graph_census ?atlas ?pool game n =
-  let total = Enumerate.graph_mask_count n in
-  let shard =
-    match pool with
-    | Some pool when Pool.jobs pool > 1 ->
-      (* the atlas handle is domain-safe: the index is sharded under
-         mutexes and appends funnel through its single appender *)
-      Pool.fold_chunks pool ~n:total
-        ~fold:(fun ~lo ~hi -> graph_shard_of_range ?atlas game n ~lo ~hi)
-        ~reduce:merge_shard ~zero:empty_shard
-    | _ -> graph_shard_of_range ?atlas game n ~lo:0 ~hi:total
-  in
-  census_of_graph_shard n shard
+  graph_census_of n ~connected:!connected ~labeled:!labeled (List.rev !reps)
 
 let merge_graph_census a b =
-  (* the serving layer splits a requested shard into deadline-checked
-     sub-ranges; merging re-deduplicates representatives by canonical
-     form, first-seen (= lowest mask, [a] before [b]) wins — the same
-     discipline as the parallel census merge *)
+  (* first-seen-wins per class: [a] is the lower-mask shard, so keeping
+     its representatives and appending [b]'s new classes reproduces the
+     single-sweep choice exactly. Classes found independently in both
+     shards are canonical hits resolved here rather than inside a shard. *)
   if a.n <> b.n then invalid_arg "Census.merge_graph_census: different n";
-  let key g = Canon.canonical_form g in
-  let a_keys = List.map key a.equilibria_iso in
+  let seen = Hashtbl.create 64 in
+  List.iter
+    (fun g -> Hashtbl.replace seen (Canon.canonical_form g) ())
+    a.equilibria_iso;
   let fresh =
-    List.filter (fun g -> not (List.mem (key g) a_keys)) b.equilibria_iso
+    List.filter
+      (fun g -> not (Hashtbl.mem seen (Canon.canonical_form g)))
+      b.equilibria_iso
   in
-  let shard =
-    {
-      s_connected = a.connected + b.connected;
-      s_labeled = a.equilibria_labeled + b.equilibria_labeled;
-      s_reps =
-        List.map (fun g -> (key g, g)) a.equilibria_iso
-        @ List.map (fun g -> (key g, g)) fresh;
-    }
-  in
-  census_of_graph_shard a.n shard
+  Telemetry.add m_canon_hits
+    (List.length b.equilibria_iso - List.length fresh);
+  graph_census_of a.n
+    ~connected:(a.connected + b.connected)
+    ~labeled:(a.equilibria_labeled + b.equilibria_labeled)
+    (a.equilibria_iso @ fresh)
 
 (* --- orderly census -------------------------------------------------------
 
@@ -281,27 +186,16 @@ let merge_graph_census a b =
    (n!/|Aut| copies per class, summed), and the reported representative
    of each equilibrium class is the minimum-mask labeling — exactly the
    copy the mask sweep sees first. The record is therefore byte-identical
-   to [graph_census] wherever both can run, while the class walk reaches
-   n = 11 where the mask space is 2^55. *)
+   to the rank-range one wherever both can run, while the class walk
+   reaches n = 11 where the mask space is 2^55. *)
 
 let rec factorial n = if n <= 1 then 1 else n * factorial (n - 1)
 
 let orderly_census_in ?atlas game n ~lo ~hi =
-  (* orbit-stabilizer counting scales one verdict per class by n!/|Aut|,
-     which is sound only when the verdict is isomorphism-invariant. The
-     α-game's is not: edge ownership (default: the smaller endpoint) is
-     labeling-dependent, so two copies of one class can disagree. *)
-  if not (Game.is_basic game) then
-    invalid_arg
-      (Printf.sprintf
-         "Census.orderly_census: game %s is not isomorphism-invariant; use \
-          the rank-range census"
-         (Game.to_string game));
   let connected = ref 0 in
   let labeled = ref 0 in
   let reps = ref [] in
   let copies_of_class = factorial n in
-  let t0 = Telemetry.start () in
   Orderly.iter ~lo ~hi n (fun g cert ->
       let copies = copies_of_class / cert.Canon.aut_count in
       connected := !connected + copies;
@@ -310,22 +204,16 @@ let orderly_census_in ?atlas game n ~lo ~hi =
         let rep = Orderly.representative g cert in
         reps := (Orderly.mask_of_graph rep, rep) :: !reps
       end);
-  Telemetry.stop m_shard t0;
   (* ascending mask order = the order the legacy sweep first sees each
      class; shards cover disjoint class sets, so merges stay sorted *)
   let reps = List.sort (fun (a, _) (b, _) -> compare a b) !reps in
-  census_of_graph_shard n
-    {
-      s_connected = !connected;
-      s_labeled = !labeled;
-      s_reps = List.map (fun (k, g) -> (string_of_int k, g)) reps;
-    }
+  graph_census_of n ~connected:!connected ~labeled:!labeled (List.map snd reps)
 
 let merge_orderly_census a b =
   if a.n <> b.n then invalid_arg "Census.merge_orderly_census: different n";
   (* disjoint sorted class lists: a plain merge by mask key keeps the
      whole list in legacy first-seen order whatever the merge order of
-     adjacent shards *)
+     adjacent shards, with no canonical form recomputed *)
   let key = Orderly.mask_of_graph in
   let rec merge xs ys =
     match (xs, ys) with
@@ -333,23 +221,10 @@ let merge_orderly_census a b =
     | x :: xt, y :: yt ->
       if key x <= key y then x :: merge xt ys else y :: merge xs yt
   in
-  let iso = merge a.equilibria_iso b.equilibria_iso in
-  census_of_graph_shard a.n
-    {
-      s_connected = a.connected + b.connected;
-      s_labeled = a.equilibria_labeled + b.equilibria_labeled;
-      s_reps = List.map (fun g -> ("", g)) iso;
-    }
-
-let orderly_census ?atlas ?pool game n =
-  let total = Orderly.space n in
-  match pool with
-  | Some pool when Pool.jobs pool > 1 ->
-    Pool.fold_chunks pool ~n:total
-      ~fold:(fun ~lo ~hi -> orderly_census_in ?atlas game n ~lo ~hi)
-      ~reduce:merge_orderly_census
-      ~zero:(orderly_census_in game n ~lo:0 ~hi:0)
-  | _ -> orderly_census_in ?atlas game n ~lo:0 ~hi:total
+  graph_census_of a.n
+    ~connected:(a.connected + b.connected)
+    ~labeled:(a.equilibria_labeled + b.equilibria_labeled)
+    (merge a.equilibria_iso b.equilibria_iso)
 
 (* --- unified shard API ---------------------------------------------------- *)
 
@@ -379,6 +254,11 @@ let kind_of_name = function
   | "orderly" -> Some Orderly
   | _ -> None
 
+let result_kind = function
+  | Tree_result _ -> Trees
+  | Graph_result _ -> Graphs
+  | Orderly_result _ -> Orderly
+
 let max_shard_vertices = function
   | Trees -> Enumerate.max_tree_vertices
   | Graphs -> Enumerate.max_graph_vertices
@@ -392,6 +272,10 @@ let shard_space kind n =
 
 let validate_shard s =
   let max_n = max_shard_vertices s.kind in
+  (* orbit-stabilizer counting scales one verdict per class by n!/|Aut|,
+     which is sound only when the verdict is isomorphism-invariant. The
+     α-game's is not: edge ownership (default: the smaller endpoint) is
+     labeling-dependent, so two copies of one class can disagree. *)
   if s.kind = Orderly && not (Game.is_basic s.game) then
     Error
       (Printf.sprintf
@@ -417,26 +301,6 @@ let full_shard kind game n =
          (max_shard_vertices kind) (kind_name kind));
   { kind; game; n; lo = 0; hi = shard_space kind n }
 
-let run_shard ?atlas s =
-  (match validate_shard s with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Census.run_shard: " ^ msg));
-  match s.kind with
-  | Trees ->
-    (* trees ignore the atlas: the shape classification + closed-form
-       witnesses are cheaper than an index probe per tree *)
-    let t0 = Telemetry.start () in
-    let tally = fresh_tally () in
-    Enumerate.trees_in s.n ~lo:s.lo ~hi:s.hi (classify_tree s.game tally);
-    Telemetry.stop m_shard t0;
-    Tree_result (census_of_tally s.n tally)
-  | Graphs ->
-    Graph_result
-      (census_of_graph_shard s.n
-         (graph_shard_of_range ?atlas s.game s.n ~lo:s.lo ~hi:s.hi))
-  | Orderly ->
-    Orderly_result (orderly_census_in ?atlas s.game s.n ~lo:s.lo ~hi:s.hi)
-
 let split s ~parts =
   if parts < 1 then invalid_arg "Census.split: parts must be >= 1";
   let width = s.hi - s.lo in
@@ -455,12 +319,53 @@ let merge_result a b =
     Orderly_result (merge_orderly_census a b)
   | _ -> invalid_arg "Census.merge_result: mixed census kinds"
 
-let tree_census_in game n ~lo ~hi =
-  match run_shard { kind = Trees; game; n; lo; hi } with
+(* One validated range, classified sequentially. *)
+let classify ?atlas s =
+  match s.kind with
+  | Trees ->
+    (* trees ignore the atlas: the shape classification + closed-form
+       witnesses are cheaper than an index probe per tree *)
+    let c = ref (empty_tree_census s.n) in
+    Enumerate.trees_in s.n ~lo:s.lo ~hi:s.hi (fun g ->
+        c := classify_tree s.game !c g);
+    Tree_result !c
+  | Graphs -> Graph_result (rank_census_in ?atlas s.game s.n ~lo:s.lo ~hi:s.hi)
+  | Orderly ->
+    Orderly_result (orderly_census_in ?atlas s.game s.n ~lo:s.lo ~hi:s.hi)
+
+let rec run_shard ?atlas ?pool s =
+  (match validate_shard s with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Census.run_shard: " ^ msg));
+  match pool with
+  | Some pool when Pool.jobs pool > 1 ->
+    (* each chunk re-seeds its own odometer / mask / root cursor, so
+       chunks are independent, and fold_chunks merges them in ascending
+       rank order — the order every merge assumes. The atlas handle is
+       domain-safe: the index is sharded under mutexes and appends
+       funnel through its single appender. *)
+    Pool.fold_chunks pool ~n:(s.hi - s.lo)
+      ~fold:(fun ~lo ~hi ->
+        run_shard ?atlas { s with lo = s.lo + lo; hi = s.lo + hi })
+      ~reduce:merge_result
+      ~zero:(classify { s with hi = s.lo })
+  | _ ->
+    let t0 = Telemetry.start () in
+    let r = classify ?atlas s in
+    Telemetry.stop m_shard t0;
+    r
+
+let tree_census ?pool game n =
+  match run_shard ?pool (full_shard Trees game n) with
   | Tree_result c -> c
   | Graph_result _ | Orderly_result _ -> assert false
 
-let graph_census_in ?atlas game n ~lo ~hi =
-  match run_shard ?atlas { kind = Graphs; game; n; lo; hi } with
+let graph_census ?atlas ?pool game n =
+  match run_shard ?atlas ?pool (full_shard Graphs game n) with
   | Graph_result c -> c
   | Tree_result _ | Orderly_result _ -> assert false
+
+let orderly_census ?atlas ?pool game n =
+  match run_shard ?atlas ?pool (full_shard Orderly game n) with
+  | Orderly_result c -> c
+  | Tree_result _ | Graph_result _ -> assert false

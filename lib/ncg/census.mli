@@ -4,7 +4,13 @@
     have diameter <= 3" observation are universally quantified statements
     over finite ranges; this module checks them against the {e entire}
     universe of labeled trees / connected graphs in the tractable range,
-    producing the E1/E2/E4 tables. *)
+    producing the E1/E2/E4 tables.
+
+    Every census runs through one pipeline: a {!shard} descriptor names a
+    kind, a game, [n] and a rank range; {!run_shard} classifies it
+    (optionally across a {!Pool.t}); {!merge_result} folds adjacent
+    pieces back together. {!tree_census}, {!graph_census} and
+    {!orderly_census} are projections of the full shard. *)
 
 type tree_census = {
   n : int;
@@ -18,15 +24,6 @@ type tree_census = {
           strictly improve *)
 }
 
-val tree_census : ?pool:Pool.t -> Game.t -> int -> tree_census
-(** Exhaustive over all labeled trees on [n] vertices
-    (n <= {!Enumerate.max_tree_vertices}). For the sum version every
-    non-star receives the Theorem 1 witness; for max, trees of diameter
-    >= 4 receive the Lemma 2 witness and small-diameter trees run the
-    generic checker. With [?pool] the Prüfer rank space is sharded
-    across domains and the per-shard tallies merged; the resulting
-    census record equals the sequential one. *)
-
 type graph_census = {
   n : int;
   connected : int;  (** connected labeled graphs examined *)
@@ -37,67 +34,26 @@ type graph_census = {
   max_diameter : int;
 }
 
-val merge_tree_census : tree_census -> tree_census -> tree_census
-(** Counts add, [max_eq_diameter] maxes. Requires equal [n]. *)
-
-val graph_census :
-  ?atlas:Atlas.t -> ?pool:Pool.t -> Game.t -> int -> graph_census
-(** Exhaustive over all connected labeled graphs on [n] vertices
-    (n <= {!Enumerate.max_graph_vertices}; n = 7 takes minutes
-    sequentially). With [?pool] the edge-subset mask space is sharded
-    across domains; counts, representatives (first of each class in mask
-    order) and histogram equal the sequential results. With [?atlas] the
-    per-labeled-graph equilibrium verdict (key
-    [eq:<game>:<graph6>], value ["1"]/["0"]) is consulted before the
-    scan and populated after a miss; verdicts are identical either way,
-    so the census output is byte-for-byte the same with the atlas on or
-    off. *)
-
-val merge_graph_census : graph_census -> graph_census -> graph_census
-(** Counts add; representatives are re-deduplicated by canonical form
-    with the lower-mask shard winning, so folding disjoint adjacent
-    shards in order reproduces the full census. Requires equal [n]. *)
-
-val orderly_census :
-  ?atlas:Atlas.t -> ?pool:Pool.t -> Game.t -> int -> graph_census
-(** The graph census via orderly (canonical-construction-path)
-    enumeration: one {!Orderly.iter} visit per isomorphism class, labeled
-    counts recovered by orbit-stabilizer ([n!/|Aut|] copies per class)
-    and equilibrium representatives reported as minimum-mask labelings in
-    ascending mask order — byte-identical to {!graph_census} wherever
-    both can run, but reaching [n <=] {!Orderly.max_vertices} (11)
-    because the walk is over classes, not the [2^(n(n-1)/2)] mask space.
-    Only the basic (isomorphism-invariant) games are supported: the
-    α-game's verdict depends on the labeling through edge ownership, so
-    orbit-stabilizer counting would be unsound — [Alpha _] raises (or,
-    through {!validate_shard}, returns an [Error]).
-    [?pool] shards the orderly root range across domains; [?atlas]
-    memoizes per-generated-representative verdicts (keys are the orderly
-    copies' graph6, so orderly and rank-range runs populate disjoint
-    entries). *)
-
-val merge_orderly_census : graph_census -> graph_census -> graph_census
-(** Counts add; the disjoint sorted representative lists merge by mask
-    key, so any adjacent-merge order reproduces the sequential record.
-    Requires equal [n]. *)
-
-val orderly_census_in :
-  ?atlas:Atlas.t -> Game.t -> int -> lo:int -> hi:int -> graph_census
-(** One shard of the orderly census: only the generation subtrees of
-    roots [lo .. hi - 1] at {!Orderly.base_level} (see {!Orderly.iter}).
-    @raise Invalid_argument unless [0 <= lo <= hi <= Orderly.space n]. *)
-
-(** {1 Unified shard API}
+(** {1 Shards}
 
     One descriptor for "a contiguous piece of a census" — the unit of
-    work shared by the serving layer's [census-shard] method, the
-    distributed dispatcher ({!Dispatch} in [lib/serve]) and the journal
-    format. Ranks are Prüfer ranks for {!Trees}, edge-subset masks for
-    {!Graphs} and generation-tree root indices for {!Orderly}; disjoint
-    adjacent shards merged in ascending rank order reproduce the full
-    census exactly (for {!Orderly}, any adjacent-merge order does). *)
+    work shared by the in-process census, the serving layer's
+    [census-shard] method, the distributed dispatcher ({!Dispatch} in
+    [lib/serve]) and the journal format. Ranks are Prüfer ranks for
+    {!Trees}, edge-subset masks for {!Graphs} and generation-tree root
+    indices for {!Orderly}; disjoint adjacent shards merged in ascending
+    rank order reproduce the full census exactly (for {!Orderly}, any
+    adjacent-merge order does). *)
 
-type kind = Trees | Graphs | Orderly
+type kind =
+  | Trees  (** all labeled trees, by Prüfer rank *)
+  | Graphs
+      (** all connected labeled graphs, by edge-subset mask (the
+          rank-range census); the only graph census for the α-game *)
+  | Orderly
+      (** one canonical representative per isomorphism class, by
+          orderly generation; basic games only. Its record is
+          byte-identical to the {!Graphs} one wherever both run *)
 
 type shard = {
   kind : kind;
@@ -120,13 +76,17 @@ val kind_name : kind -> string
 
 val kind_of_name : string -> kind option
 
+val result_kind : result -> kind
+(** The kind of shard that produces this result. *)
+
 val max_shard_vertices : kind -> int
-(** {!Enumerate.max_tree_vertices} / {!Enumerate.max_graph_vertices}. *)
+(** {!Enumerate.max_tree_vertices} (10), {!Enumerate.max_graph_vertices}
+    (8) or {!Orderly.max_vertices} (11). *)
 
 val shard_space : kind -> int -> int
-(** Size of the full rank space on [n] vertices: [n^(n-2)] labeled trees
-    or [2^(n(n-1)/2)] edge masks. [n] must be within
-    {!max_shard_vertices}. *)
+(** Size of the full rank space on [n] vertices: [n^(n-2)] labeled trees,
+    [2^(n(n-1)/2)] edge masks or {!Orderly.space} roots. [n] must be
+    within {!max_shard_vertices}. *)
 
 val full_shard : kind -> Game.t -> int -> shard
 (** The whole census as a single shard: [lo = 0], [hi = shard_space].
@@ -135,16 +95,29 @@ val full_shard : kind -> Game.t -> int -> shard
 val validate_shard : shard -> (unit, string) Stdlib.result
 (** Total bounds check ([n] within the kind's cap, [0 <= lo <= hi <=]
     {!shard_space}), plus the game/kind compatibility rule ({!Orderly}
-    requires a basic game); the returned message is suitable for a
-    structured [invalid_params] reply. *)
+    requires a basic game: the α-game's verdict depends on the labeling
+    through edge ownership, so orbit-stabilizer counting would be
+    unsound); the returned message is suitable for a structured
+    [invalid_params] reply. *)
 
-val run_shard : ?atlas:Atlas.t -> shard -> result
-(** Classify every tree/graph of the shard's rank range sequentially.
-    {!tree_census_in} and {!graph_census_in} are thin wrappers. [?atlas]
-    memoizes graph equilibrium verdicts as in {!graph_census}; tree
-    shards ignore it (the closed-form tree classification is cheaper
-    than a probe). @raise Invalid_argument when {!validate_shard}
-    fails. *)
+val run_shard : ?atlas:Atlas.t -> ?pool:Pool.t -> shard -> result
+(** Classify every tree/graph of the shard's rank range. For trees every
+    non-equilibrium receives a verified witness: the Theorem 1 swap for
+    sum; for max, the Lemma 2 swap on diameter >= 4 and the generic
+    checker below that; the generic checker's improving move for the
+    α-game. For
+    graphs the representatives are the first of each class in mask
+    order. With [?pool] (more than one job) the range is cut into
+    chunks classified across domains and merged with {!merge_result} in
+    ascending rank order; the result equals the sequential one. With
+    [?atlas] the per-labeled-graph equilibrium verdict (key
+    [eq:<game>:<graph6>], value ["1"]/["0"]) is consulted before the
+    scan and populated after a miss; verdicts are identical either way,
+    so the result is byte-for-byte the same with the atlas on or off.
+    Orderly shards key the orderly copies' graph6, so they populate
+    different entries than rank-range runs. Tree shards ignore the atlas
+    (the closed-form classification is cheaper than a probe).
+    @raise Invalid_argument when {!validate_shard} fails. *)
 
 val split : shard -> parts:int -> shard list
 (** [split s ~parts] cuts [s] into at most [parts] contiguous,
@@ -155,21 +128,32 @@ val split : shard -> parts:int -> shard list
     @raise Invalid_argument when [parts < 1]. *)
 
 val merge_result : result -> result -> result
-(** {!merge_tree_census} / {!merge_graph_census} behind one type.
-    The first argument must be the lower-rank shard.
+(** Tree counts add and [max_eq_diameter] maxes. Rank-range graph
+    representatives are re-deduplicated by canonical form with the
+    lower-mask shard winning; orderly representatives (class-disjoint
+    across shards) merge by mask key. The first argument must be the
+    lower-rank shard.
     @raise Invalid_argument on mixed kinds or different [n]. *)
 
-val tree_census_in : Game.t -> int -> lo:int -> hi:int -> tree_census
-(** One shard of the tree census: only the trees of Prüfer rank
-    [lo .. hi - 1] (see {!Enumerate.trees_in}). [total] counts the trees
-    in the range. Disjoint adjacent shards merged with
-    {!merge_tree_census} equal the full census.
-    @raise Invalid_argument unless [0 <= lo <= hi <= n^(n-2)]. *)
+(** {1 Whole censuses} *)
 
-val graph_census_in :
-  ?atlas:Atlas.t -> Game.t -> int -> lo:int -> hi:int -> graph_census
-(** One shard of the graph census: only the connected graphs whose
-    edge-subset mask lies in [[lo, hi)] (see
-    {!Enumerate.connected_graphs_in}). [connected] counts the connected
-    graphs in the range. @raise Invalid_argument unless
-    [0 <= lo <= hi <= 2^(n(n-1)/2)]. *)
+val tree_census : ?pool:Pool.t -> Game.t -> int -> tree_census
+(** {!run_shard} of the full {!Trees} shard
+    (n <= {!Enumerate.max_tree_vertices}). *)
+
+val graph_census :
+  ?atlas:Atlas.t -> ?pool:Pool.t -> Game.t -> int -> graph_census
+(** {!run_shard} of the full {!Graphs} shard
+    (n <= {!Enumerate.max_graph_vertices}; n = 7 takes minutes
+    sequentially). *)
+
+val orderly_census :
+  ?atlas:Atlas.t -> ?pool:Pool.t -> Game.t -> int -> graph_census
+(** {!run_shard} of the full {!Orderly} shard: one {!Orderly.iter} visit
+    per isomorphism class, labeled counts recovered by orbit-stabilizer
+    ([n!/|Aut|] copies per class) and equilibrium representatives
+    reported as minimum-mask labelings in ascending mask order —
+    byte-identical to {!graph_census} wherever both can run, but reaching
+    [n <=] {!Orderly.max_vertices} because the walk is over classes, not
+    the [2^(n(n-1)/2)] mask space.
+    @raise Invalid_argument for a non-basic game. *)

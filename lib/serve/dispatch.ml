@@ -7,9 +7,10 @@
    back off the worker; a worker failing repeatedly in a row is
    blacklisted (its thread exits, its queue share flows to the healthy
    ones). The merged result is byte-identical to the sequential census
-   because parts are merged in ascending rank order — the same
-   first-seen-wins discipline as [Census.merge_graph_census] — and
-   graph6 round-trips remote representatives exactly. *)
+   because parts are merged in ascending rank order with
+   [Census.merge_result] — the same merge a pooled in-process census
+   uses — and graph6 round-trips remote representatives exactly. A
+   reply of the wrong kind or [n] is a worker error, never merged. *)
 
 let m_shards = Telemetry.counter "dispatch.shards"
 
@@ -98,6 +99,17 @@ let journal_entry ~lo ~hi result =
          ("result", Rpc.census_result result);
        ])
 
+(* A worker reply or journal entry belongs to a shard only when it is a
+   census of the same kind on the same vertex count; anything else would
+   make the final merge raise. *)
+let fits (shard : Census.shard) r =
+  let n =
+    match r with
+    | Census.Tree_result c -> c.Census.n
+    | Census.Graph_result c | Census.Orderly_result c -> c.Census.n
+  in
+  Census.result_kind r = shard.Census.kind && n = shard.Census.n
+
 let read_lines path =
   let ic = open_in_bin path in
   Fun.protect
@@ -114,7 +126,7 @@ let read_lines path =
    from a run with different boundaries simply miss and are ignored
    (the header check makes that impossible in practice, but the loader
    stays total regardless). *)
-let load_journal path ~header ~index_of ~kind =
+let load_journal path ~header ~index_of ~shard =
   if not (Sys.file_exists path) then Ok []
   else begin
     match read_lines path with
@@ -136,12 +148,7 @@ let load_journal path ~header ~index_of ~kind =
             match (int "lo", int "hi", Jsonx.member "result" json) with
             | Some lo, Some hi, Some rj -> (
               match (index_of (lo, hi), Rpc.census_result_of_json rj) with
-              | Some i, Ok r
-                when (match r with
-                     | Census.Tree_result _ -> kind = Census.Trees
-                     | Census.Graph_result _ -> kind = Census.Graphs
-                     | Census.Orderly_result _ -> kind = Census.Orderly) ->
-                Some (i, r)
+              | Some i, Ok r when fits shard r -> Some (i, r)
               | _ -> None)
             | _ -> None)
         in
@@ -262,7 +269,15 @@ let worker_loop cfg st (w, hist) =
       Telemetry.incr m_dispatched;
       Mutex.unlock st.mutex;
       let t0 = Unix.gettimeofday () in
-      let outcome = execute st.shards.(i) in
+      let s = st.shards.(i) in
+      let outcome =
+        match execute s with
+        | Ok r when not (fits s r) ->
+          Error
+            (Printf.sprintf "reply is not a %s census on %d vertices"
+               (Census.kind_name s.Census.kind) s.Census.n)
+        | outcome -> outcome
+      in
       Telemetry.observe hist
         (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
       (match outcome with
@@ -289,7 +304,6 @@ let worker_loop cfg st (w, hist) =
         Mutex.lock st.mutex;
         st.had_failure.(i) <- true;
         st.attempts.(i) <- st.attempts.(i) + 1;
-        let s = st.shards.(i) in
         if st.attempts.(i) >= cfg.max_attempts then begin
           st.fatal <-
             Some
@@ -362,7 +376,7 @@ let run cfg shard =
         match cfg.journal with
         | None -> Ok []
         | Some path ->
-          load_journal path ~header ~index_of ~kind:shard.Census.kind
+          load_journal path ~header ~index_of ~shard
       in
       match journaled with
       | Error msg -> Error msg

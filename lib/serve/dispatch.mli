@@ -7,7 +7,8 @@
     including when workers die mid-run.
 
     {b Failure model.} A failed dispatch (socket error, remote timeout,
-    malformed reply, worker exception) requeues its shard for any
+    malformed reply, a reply whose census kind or [n] does not match
+    the shard, worker exception) requeues its shard for any
     healthy worker and backs the failing worker off exponentially; a
     worker failing [blacklist_after] times {e in a row} is blacklisted
     and its thread retired. The run as a whole fails only when a single
@@ -22,7 +23,8 @@
     appended to [path] as one flushed JSON line (after a header line
     pinning kind/game/n/range/parts), so a killed run resumed with the
     same arguments recomputes only the missing shards. A journal whose
-    header does not match the requested run is an error. The format is
+    header does not match the requested run is an error; entries of the
+    wrong kind or [n] are skipped and recomputed. The format is
     documented in DESIGN.md ("Distributed census").
 
     Telemetry (under [--stats]): [dispatch.shards], [.dispatched],

@@ -126,6 +126,26 @@ let test_raising_worker_is_caught () =
   check_true "the raise was retried" (st.Dispatch.retried >= 1);
   check_true "its shard recovered" (st.Dispatch.recovered >= 1)
 
+(* A reply for the wrong census (another kind, another n) must be a
+   worker error that requeues the shard — not a result that is journaled
+   and then blows up the final merge. *)
+let test_mismatched_reply_requeues () =
+  let expected = render (Census.run_shard graph_shard) in
+  let wrong_n = Census.full_shard Census.Graphs Game.Max 3 in
+  let calls = ref 0 in
+  let confused s =
+    incr calls;
+    match !calls with
+    | 1 -> Ok (Census.run_shard tree_shard)
+    | 2 -> Ok (Census.run_shard wrong_n)
+    | _ -> Ok (Census.run_shard s)
+  in
+  let cfg = { base with Dispatch.workers = [ Dispatch.Custom ("confused", confused) ] } in
+  let r, st = run_ok cfg graph_shard in
+  check_str "identical to sequential" expected (render r);
+  check_int "both wrong replies retried" 2 st.Dispatch.retried;
+  check_true "their shards recovered" (st.Dispatch.recovered >= 1)
+
 let test_attempts_exhausted () =
   let cfg =
     {
@@ -426,6 +446,7 @@ let suite =
     case "slow worker: merge order is rank order" test_slow_worker_merge_order;
     case "flaky worker retries and recovers" test_flaky_worker_recovers;
     case "raising worker is caught and retried" test_raising_worker_is_caught;
+    case "mismatched reply kind or n requeues" test_mismatched_reply_requeues;
     case "per-shard attempt budget is fatal" test_attempts_exhausted;
     case "all workers blacklisted is fatal" test_all_workers_blacklisted;
     case "bad worker blacklisted, good completes" test_bad_worker_blacklisted_good_completes;

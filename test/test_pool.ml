@@ -215,12 +215,14 @@ let test_tree_census_determinism () =
             (seq = par))
         [ Game.Sum; Game.Max ])
 
+(* both graph censuses: the rank-range sweep re-deduplicates classes
+   across chunks, the orderly walk merges class-disjoint sorted chunks *)
 let test_graph_census_determinism () =
   Pool.with_pool ~jobs:4 (fun pool ->
       List.iter
-        (fun version ->
-          let seq = Census.graph_census version 5 in
-          let par = Census.graph_census ~pool version 5 in
+        (fun (census, version) ->
+          let seq = census ?atlas:None ?pool:None version 5 in
+          let par = census ?atlas:None ?pool:(Some pool) version 5 in
           check_int "connected count" seq.Census.connected par.Census.connected;
           check_int "labeled equilibria" seq.Census.equilibria_labeled
             par.Census.equilibria_labeled;
@@ -235,7 +237,12 @@ let test_graph_census_determinism () =
           List.iter2
             (fun a b -> check_true "same representative" (Graph.equal a b))
             seq.Census.equilibria_iso par.Census.equilibria_iso)
-        [ Game.Sum; Game.Max ])
+        [
+          (Census.graph_census, Game.Sum);
+          (Census.graph_census, Game.Max);
+          (Census.orderly_census, Game.Sum);
+          (Census.orderly_census, Game.Max);
+        ])
 
 let suite =
   [

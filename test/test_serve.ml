@@ -378,8 +378,8 @@ let test_e2e_census_shard () =
     Rpc.render_ok ~id:(Jsonx.Int 1)
       ~result:
         (Jsonx.to_string
-           (Rpc.tree_census_result
-              (Census.tree_census_in Game.Sum 6 ~lo:0 ~hi:total)))
+           (Rpc.census_result
+              (Census.run_shard (Census.full_shard Census.Trees Game.Sum 6))))
   in
   check_str "sliced tree census" expected reply;
   let masks = Enumerate.graph_mask_count 5 in
@@ -393,8 +393,8 @@ let test_e2e_census_shard () =
     Rpc.render_ok ~id:(Jsonx.Int 2)
       ~result:
         (Jsonx.to_string
-           (Rpc.graph_census_result
-              (Census.graph_census_in Game.Sum 5 ~lo:0 ~hi:masks)))
+           (Rpc.census_result
+              (Census.run_shard (Census.full_shard Census.Graphs Game.Sum 5))))
   in
   check_str "sliced graph census" expected reply;
   (* out-of-range shard: structured error, server stays up *)
