@@ -1,6 +1,6 @@
 # Convenience targets; the source of truth is dune.
 
-.PHONY: all build test bench bench-json bench-fresh bench-compare bench-baseline census-dist scale-smoke verify clean
+.PHONY: all build test bench bench-ab census-dist scale-smoke verify clean
 
 all: build
 
@@ -13,35 +13,29 @@ test:
 bench:
 	dune exec bench/main.exe
 
-# trajectory snapshot: compare BENCH_*.json files across PRs
-bench-json:
-	dune exec bench/main.exe -- --quick --json BENCH_$(shell git rev-parse --short HEAD).json
-
-# fresh timings of every row in BENCH_baseline.json; bench-compare and
-# bench-baseline differ only in what they do with them
-BENCH_FRESH = /tmp/bncg_bench_fresh.json /tmp/bncg_loadgen_fresh.json \
-  /tmp/bncg_pipelined_fresh.json /tmp/bncg_atlas_fresh.json \
-  /tmp/bncg_scaledyn_fresh.json /tmp/bncg_orderly_fresh.json
-
-bench-fresh:
-	dune exec bench/main.exe -- --quick --json /tmp/bncg_bench_fresh.json
-	dune exec bench/loadgen.exe -- --json /tmp/bncg_loadgen_fresh.json
-	dune exec bench/loadgen.exe -- --requests 100000 --pipeline 64 --conns 8 \
-	  --json /tmp/bncg_pipelined_fresh.json
-	rm -rf /tmp/bncg_atlas_bench
-	dune exec bench/loadgen.exe -- --atlas /tmp/bncg_atlas_bench \
-	  --json /tmp/bncg_atlas_fresh.json
-	dune exec bench/scaledyn.exe -- --quick --json /tmp/bncg_scaledyn_fresh.json
-	dune exec bench/orderlybench.exe -- --quick --json /tmp/bncg_orderly_fresh.json
-
-# local version of the CI perf gate (tight default tolerance; CI passes
-# a wider one because hosted runners are noisier)
-bench-compare: bench-fresh
-	dune exec bench/compare.exe -- --baseline BENCH_baseline.json $(BENCH_FRESH)
-
-# refresh the committed baseline after an intentional perf change
-bench-baseline: bench-fresh
-	dune exec bench/compare.exe -- --merge BENCH_baseline.json $(BENCH_FRESH)
+# Perf gate: the bench/e2e benchmark (BENCHMARK.json) on commit BASE
+# (a temporary worktree) and on this checkout, seeds 1-5, alternating
+# which side runs first; then bench/e2e's --compare, which exits 1 on
+# any regressed (workload, metric) pair. A failed correctness check
+# fails its run and so the target. Rows and the compare table stay in
+# _bench_ab/.
+#   make bench-ab BASE=origin/main
+bench-ab:
+	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<rev>"; exit 2; }
+	rm -rf _bench_ab && git worktree prune && mkdir -p _bench_ab
+	git worktree add --detach _bench_ab/base $(BASE)
+	set -e; trap 'git worktree remove --force _bench_ab/base' EXIT; \
+	rows=$(CURDIR)/_bench_ab; a=; b=; \
+	for s in 1 2 3 4 5; do \
+	  if [ $$((s % 2)) = 1 ]; then order="A B"; else order="B A"; fi; \
+	  for side in $$order; do \
+	    if [ $$side = A ]; then root=_bench_ab/base; else root=.; fi; \
+	    bash $$root/bench/e2e/run.sh --seed $$s --json $$rows/$$side-$$s.json; \
+	  done; \
+	  a=$$a$${a:+,}$$rows/A-$$s.json; b=$$b$${b:+,}$$rows/B-$$s.json; \
+	done; \
+	st=0; bash bench/e2e/run.sh --compare $$a $$b > _bench_ab/compare.txt 2>&1 || st=$$?; \
+	cat _bench_ab/compare.txt; exit $$st
 
 # distributed-census acceptance gate: healthy / flaky / crash / resume
 # phases over real sockets, each gated on byte-identity with the
@@ -56,10 +50,9 @@ scale-smoke:
 	dune exec bin/main.exe -- dynamics --engine scale --gen ba -n 100000 \
 	  --seed 7 --max-rounds 24 --stats-json /tmp/bncg_scale_stats.json
 
-# the tier-1 gate plus a quick bench smoke run with JSON output
+# the tier-1 gate
 verify: build
 	dune runtest
-	dune exec bench/main.exe -- --quick --json /tmp/bncg_bench_quick.json
 
 clean:
 	dune clean

@@ -4,10 +4,10 @@
    byte-identical (as rendered result JSON) to the sequential one.
 
      dune exec bench/distcensus.exe                 -- max census, n = 6
-     dune exec bench/distcensus.exe -- --n 5 --game sum
-     dune exec bench/distcensus.exe -- --json FILE  -- {benchmark, ns_per_run}
-                                                       rows, same shape as
-                                                       bench/main.exe
+     dune exec bench/distcensus.exe -- --n 5 --game alpha:1
+
+   The game picks the census kind through Census.graph_kind, as it does
+   for bncg census: orderly shards for sum/max, rank-range for alpha.
 
    Phases:
      healthy   two bncg-serve workers on temp Unix sockets; all shards
@@ -28,42 +28,26 @@ let n = ref 6
 
 let game = ref Game.Max
 
-let json = ref None
-
 let () =
   let rec scan = function
     | [] -> ()
     | "--n" :: v :: rest ->
       n := int_of_string v;
       scan rest
-    | "--game" :: "sum" :: rest ->
-      game := Game.Sum;
-      scan rest
-    | "--game" :: "max" :: rest ->
-      game := Game.Max;
-      scan rest
-    | "--json" :: path :: rest ->
-      json := Some path;
-      scan rest
+    | "--game" :: v :: rest -> (
+      match Game.of_string v with
+      | Ok g ->
+        game := g;
+        scan rest
+      | Error msg ->
+        Printf.eprintf "distcensus: --game: %s\n" msg;
+        exit 2)
     | arg :: _ ->
       Printf.eprintf
-        "distcensus: unknown argument %s (expected --n N, --game sum|max, \
-         --json FILE)\n"
-        arg;
+        "distcensus: unknown argument %s (expected --n N, --game GAME)\n" arg;
       exit 2
   in
   scan (List.tl (Array.to_list Sys.argv))
-
-(* fail before the run, not after it — same pattern as bench/main.exe *)
-let () =
-  match !json with
-  | None -> ()
-  | Some path -> (
-    match open_out path with
-    | oc -> close_out oc
-    | exception Sys_error msg ->
-      Printf.eprintf "distcensus: cannot write --json target: %s\n" msg;
-      exit 2)
 
 let failures = ref 0
 
@@ -94,13 +78,8 @@ let start_server tag =
   in
   (srv, Serve.Unix_sock sock)
 
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, (Unix.gettimeofday () -. t0) *. 1e9)
-
 let () =
-  let shard = Census.full_shard Census.Graphs !game !n in
+  let shard = Census.full_shard (Census.graph_kind !game) !game !n in
   let expected = render (Census.run_shard shard) in
   let parts = 8 in
   let srv1, addr1 = start_server "w1" in
@@ -113,12 +92,9 @@ let () =
       timeout = 120.0;
     }
   in
-  let wall = ref [] in
   let phase name f =
     Printf.printf "%s:\n%!" name;
-    let r, ns = timed f in
-    wall := (name, ns) :: !wall;
-    r
+    f ()
   in
 
   phase "healthy" (fun () ->
@@ -214,25 +190,6 @@ let () =
   Serve.stop srv1;
   Serve.stop srv2;
   (try Sys.remove journal with Sys_error _ -> ());
-
-  (match !json with
-  | None -> ()
-  | Some path ->
-    let rows =
-      List.rev_map (fun (name, ns) -> ("distcensus/" ^ name, ns)) !wall
-    in
-    let oc = open_out path in
-    output_string oc "[\n";
-    let last = List.length rows - 1 in
-    List.iteri
-      (fun i (name, ns) ->
-        Printf.fprintf oc "  {\"benchmark\": %S, \"ns_per_run\": %.3f}%s\n" name
-          ns
-          (if i = last then "" else ","))
-      rows;
-    output_string oc "]\n";
-    close_out oc;
-    Printf.printf "wrote %d benchmark rows to %s\n" (List.length rows) path);
 
   if !failures > 0 then begin
     Printf.eprintf "distcensus: FAILED — %d checks failed\n" !failures;

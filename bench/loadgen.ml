@@ -5,9 +5,6 @@
      dune exec bench/loadgen.exe                      -- 10000 requests, 4 clients
      dune exec bench/loadgen.exe -- --requests 1000 --clients 2
      dune exec bench/loadgen.exe -- --malformed       -- mix in invalid lines
-     dune exec bench/loadgen.exe -- --json FILE       -- {benchmark, ns_per_run}
-                                                         rows, same shape as
-                                                         bench/main.exe
      dune exec bench/loadgen.exe -- --pipeline 64 --conns 8
                                                       -- pipelined mode: each
                                                          connection writes 64
@@ -59,8 +56,6 @@ let jobs = ref 2
 
 let malformed = ref false
 
-let json = ref None
-
 (* pipelined mode: 0 = off (one request in flight per client, the legacy
    latency-shaped load); N > 0 = each connection writes N request lines
    in a single syscall and then reads the N replies in order *)
@@ -100,9 +95,6 @@ let () =
     | "--malformed" :: rest ->
       malformed := true;
       scan rest
-    | "--json" :: path :: rest ->
-      json := Some path;
-      scan rest
     | "--atlas" :: dir :: rest ->
       atlas_dir := Some dir;
       scan rest
@@ -113,22 +105,11 @@ let () =
       Printf.eprintf
         "loadgen: unknown argument %s (expected --requests N, --clients N, \
          --jobs N, --pipeline DEPTH, --conns K, --min-rps F, --malformed, \
-         --json FILE, --atlas DIR, --min-atlas-hits N)\n"
+         --atlas DIR, --min-atlas-hits N)\n"
         arg;
       exit 2
   in
   scan (List.tl (Array.to_list Sys.argv))
-
-(* fail before the run, not after it — same pattern as bench/main.exe *)
-let () =
-  match !json with
-  | None -> ()
-  | Some path -> (
-    match open_out path with
-    | oc -> close_out oc
-    | exception Sys_error msg ->
-      Printf.eprintf "loadgen: cannot write --json target: %s\n" msg;
-      exit 2)
 
 (* --- workload ------------------------------------------------------------ *)
 
@@ -335,7 +316,6 @@ let pipelined_thread addr lo hi depth tallies out =
 (* --- run ----------------------------------------------------------------- *)
 
 type pass = {
-  p_merged : tally array;
   p_wall : float;
   p_total : int;
   p_errors : int;
@@ -453,7 +433,6 @@ let run_pass ~tag ~pass_atlas_dir () =
     | None -> ""
     | Some _ -> Printf.sprintf "; atlas hits %d" atlas_hits);
   {
-    p_merged = merged;
     p_wall = wall;
     p_total = total;
     p_errors = errors;
@@ -463,26 +442,6 @@ let run_pass ~tag ~pass_atlas_dir () =
     p_atlas_hits = atlas_hits;
     p_replies = replies;
   }
-
-let write_json_rows rows =
-  match !json with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc "[\n";
-    let last = List.length rows - 1 in
-    List.iteri
-      (fun i (name, ns) ->
-        let value =
-          if Float.is_nan ns then "null" else Printf.sprintf "%.3f" ns
-        in
-        Printf.fprintf oc "  {\"benchmark\": %S, \"ns_per_run\": %s}%s\n" name
-          value
-          (if i = last then "" else ","))
-      rows;
-    output_string oc "]\n";
-    close_out oc;
-    Printf.printf "wrote %d benchmark rows to %s\n" (List.length rows) path
 
 (* gates shared by every pass; any failure is the process exit status *)
 let gate_pass ~tag p =
@@ -516,29 +475,6 @@ let () =
   match !atlas_dir with
   | None ->
     let p = run_pass ~tag:"" ~pass_atlas_dir:None () in
-    let depth = max 0 !pipeline in
-    (* pipelined runs measure throughput, not per-request latency: one
-       row, the wall-clock cost per request, under its own name so the
-       perf gate tracks the two modes independently *)
-    let rows =
-      if depth > 0 then
-        [
-          ( "serve-pipelined/wall-per-request",
-            p.p_wall *. 1e9 /. float_of_int (max 1 p.p_total) );
-        ]
-      else
-        List.mapi
-          (fun k cls ->
-            ( "serve-loadgen/" ^ cls.name,
-              if p.p_merged.(k).count = 0 then Float.nan
-              else p.p_merged.(k).total_ns /. float_of_int p.p_merged.(k).count ))
-          classes
-        @ [
-            ( "serve-loadgen/wall-per-request",
-              p.p_wall *. 1e9 /. float_of_int (max 1 p.p_total) );
-          ]
-    in
-    write_json_rows rows;
     gate_pass ~tag:"" p;
     print_endline "loadgen: OK"
   | Some dir ->
@@ -549,15 +485,6 @@ let () =
       dir;
     let cold = run_pass ~tag:"cold" ~pass_atlas_dir:(Some dir) () in
     let warm = run_pass ~tag:"warm" ~pass_atlas_dir:(Some dir) () in
-    let rows =
-      [
-        ( "serve-atlas/cold-wall-per-request",
-          cold.p_wall *. 1e9 /. float_of_int (max 1 cold.p_total) );
-        ( "serve-atlas/warm-wall-per-request",
-          warm.p_wall *. 1e9 /. float_of_int (max 1 warm.p_total) );
-      ]
-    in
-    write_json_rows rows;
     gate_pass ~tag:"cold" cold;
     gate_pass ~tag:"warm" warm;
     let mismatches = ref 0 in

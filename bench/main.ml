@@ -1,32 +1,19 @@
-(* Benchmark harness: one Bechamel test per experiment kernel (the
-   computation that regenerates each table/figure of the paper) plus
-   substrate microbenchmarks and sequential-vs-parallel kernel pairs,
-   followed by the full experiment tables.
+(* Bechamel microbenchmarks: one test per experiment kernel (the
+   computation that regenerates each table/figure of the paper), the
+   substrate kernels under them, and naive-vs-engine swap-evaluation
+   pairs. Prints a table to stdout; the gated benchmark is bench/e2e.
 
-     dune exec bench/main.exe            -- microbenches + all default tables
-     dune exec bench/main.exe -- --quick -- microbenches only
-     dune exec bench/main.exe -- --heavy -- also the n=7 census / n=9 trees
-     dune exec bench/main.exe -- --json FILE -- also dump
-                                    {benchmark, ns_per_run} rows as JSON, so
-                                    BENCH_*.json trajectories can be diffed
-                                    across PRs
+     dune exec bench/main.exe
 *)
 
 open Bechamel
 open Toolkit
-
-(* OCaml 5's minor GC is stop-the-world across domains; the census
-   kernels allocate a graph per enumerated tree, so a default-sized minor
-   heap makes the parallel variants sync far too often. One knob, set
-   before any domain exists. *)
-let () = Gc.set { (Gc.get ()) with Gc.minor_heap_size = 2 * 1024 * 1024 }
 
 let stage = Staged.stage
 
 (* --- fixed inputs, built once ------------------------------------------ *)
 
 let torus3 = Constructions.torus 3
-let torus5 = Constructions.torus 5
 let torus8 = Constructions.torus 8
 let torus_d32 = Constructions.torus_d ~dim:3 2
 let witness = Constructions.sum_diameter3_witness
@@ -78,37 +65,6 @@ let substrate_tests =
       (stage (fun () -> Spectral.algebraic_connectivity ~iterations:500 torus8));
     Test.make ~name:"lemma8-audit/hypercube-q4"
       (stage (fun () -> Lemmas.check_lemma8 (Generators.hypercube 4)));
-  ]
-
-(* --- sequential vs parallel kernel pairs -------------------------------- *)
-
-(* Created on first use so `--quick` runs without domains when the pool
-   tests are filtered out; never shut down — the domains live as long as
-   the process, like Exp_common's pool. *)
-let pool4 = lazy (Pool.create ~jobs:4 ())
-
-let parallel_tests =
-  [
-    Test.make ~name:"par/tree-census-sum-n7-seq"
-      (stage (fun () -> Census.tree_census Game.Sum 7));
-    Test.make ~name:"par/tree-census-sum-n7-j4"
-      (stage (fun () -> Census.tree_census ~pool:(Lazy.force pool4) Game.Sum 7));
-    Test.make ~name:"par/graph-census-sum-n5-seq"
-      (stage (fun () -> Census.graph_census Game.Sum 5));
-    Test.make ~name:"par/graph-census-sum-n5-j4"
-      (stage (fun () -> Census.graph_census ~pool:(Lazy.force pool4) Game.Sum 5));
-    Test.make ~name:"par/all-pairs-torus-k8-seq"
-      (stage (fun () -> Bfs.all_pairs torus8));
-    Test.make ~name:"par/all-pairs-torus-k8-j4"
-      (stage (fun () -> Bfs.all_pairs ~pool:(Lazy.force pool4) torus8));
-    Test.make ~name:"par/eccentricities-torus-k8-seq"
-      (stage (fun () -> Metrics.eccentricities torus8));
-    Test.make ~name:"par/eccentricities-torus-k8-j4"
-      (stage (fun () -> Metrics.eccentricities ~pool:(Lazy.force pool4) torus8));
-    Test.make ~name:"par/check-max-torus-k5-seq"
-      (stage (fun () -> Equilibrium.check_max torus5));
-    Test.make ~name:"par/check-max-torus-k5-j4"
-      (stage (fun () -> Equilibrium.check_max ~pool:(Lazy.force pool4) torus5));
   ]
 
 (* --- naive oracle vs incremental swap-evaluation engine ------------------ *)
@@ -167,7 +123,7 @@ let experiment_tests =
     Test.make ~name:"E3/sum-eq-check-witness-n11"
       (stage (fun () -> Equilibrium.is_sum_equilibrium witness));
     Test.make ~name:"E4/graph-census-sum-n5"
-      (stage (fun () -> Census.graph_census Game.Sum 5));
+      (stage (fun () -> Census.game_census Game.Sum 5));
     Test.make ~name:"E5/max-eq-check-torus-k3"
       (stage (fun () -> Equilibrium.is_max_equilibrium torus3));
     Test.make ~name:"E6/insertion-stability-torus-d3"
@@ -247,100 +203,35 @@ let run_benchmarks tests =
   Table.print t;
   rows
 
-(* every "<kernel><base>" row paired with its "<kernel><twin>" sibling:
-   -seq/-j4 for the parallel kernels, -naive/-engine for swap-eval *)
-let print_suffix_speedups rows ~title ~base ~twin =
-  let lookup name = List.assoc_opt name rows in
+(* every "<kernel>-naive" row paired with its "<kernel>-engine" sibling *)
+let print_speedups rows =
   let pairs =
     List.filter_map
-      (fun (name, base_ns) ->
-        match Filename.chop_suffix_opt ~suffix:base name with
+      (fun (name, naive_ns) ->
+        match Filename.chop_suffix_opt ~suffix:"-naive" name with
         | None -> None
         | Some kernel -> (
-          match lookup (kernel ^ twin) with
-          | Some twin_ns
-            when (not (Float.is_nan base_ns)) && not (Float.is_nan twin_ns) ->
-            Some (kernel, base_ns /. twin_ns)
+          match List.assoc_opt (kernel ^ "-engine") rows with
+          | Some engine_ns
+            when (not (Float.is_nan naive_ns)) && not (Float.is_nan engine_ns) ->
+            Some (kernel, naive_ns /. engine_ns)
           | _ -> None))
       rows
   in
-  if pairs <> [] then begin
-    let t =
-      Table.create ~title
-        ~columns:[ ("kernel", Table.Left); ("speedup", Table.Right) ]
-    in
-    List.iter
-      (fun (kernel, s) -> Table.add_row t [ kernel; Printf.sprintf "%.2fx" s ])
-      pairs;
-    Table.print t
-  end
-
-let print_speedups rows =
-  print_suffix_speedups rows ~title:"parallel speedup (sequential / jobs=4)"
-    ~base:"-seq" ~twin:"-j4";
-  print_suffix_speedups rows ~title:"swap-eval speedup (naive / engine)"
-    ~base:"-naive" ~twin:"-engine"
-
-let write_json path rows =
-  let oc = open_out path in
-  output_string oc "[\n";
-  let last = List.length rows - 1 in
-  List.iteri
-    (fun i (name, ns) ->
-      let value =
-        if Float.is_nan ns then "null" else Printf.sprintf "%.3f" ns
-      in
-      (* OCaml's %S escaping (backslash + double quote) is valid JSON for
-         the ASCII benchmark names used here *)
-      Printf.fprintf oc "  {\"benchmark\": %S, \"ns_per_run\": %s}%s\n" name
-        value
-        (if i = last then "" else ","))
-    rows;
-  output_string oc "]\n";
-  close_out oc;
-  Printf.printf "\nwrote %d benchmark rows to %s\n" (List.length rows) path
-
-let json_target args =
-  let rec scan = function
-    | [ "--json" ] ->
-        prerr_endline "bench: --json requires a FILE argument";
-        exit 2
-    | "--json" :: path :: _ -> Some path
-    | _ :: rest -> scan rest
-    | [] -> None
+  let t =
+    Table.create ~title:"swap-eval speedup (naive / engine)"
+      ~columns:[ ("kernel", Table.Left); ("speedup", Table.Right) ]
   in
-  scan args
-
-(* fail before the (long) benchmark run, not after it *)
-let check_writable path =
-  match open_out path with
-  | oc -> close_out oc
-  | exception Sys_error msg ->
-      Printf.eprintf "bench: cannot write --json target: %s\n" msg;
-      exit 2
+  List.iter
+    (fun (kernel, s) -> Table.add_row t [ kernel; Printf.sprintf "%.2fx" s ])
+    pairs;
+  Table.print t
 
 let () =
-  let args = Array.to_list Sys.argv in
-  let quick = List.mem "--quick" args in
-  let heavy = List.mem "--heavy" args in
-  let json = json_target args in
-  Option.iter check_writable json;
   print_endline "=== bncg benchmark harness ===\n";
   (* BNCG_STATS: telemetry totals for the whole benchmark sweep. The
      numbers aggregate every timed iteration, so they profile the harness
      run, not a single kernel invocation. *)
-  let rows =
-    Exp_common.with_stats (fun () ->
-        let rows =
-          run_benchmarks
-            (substrate_tests @ parallel_tests @ swap_eval_tests
-           @ experiment_tests)
-        in
-        print_speedups rows;
-        rows)
-  in
-  Option.iter (fun path -> write_json path rows) json;
-  if not quick then begin
-    print_endline "\n=== experiment tables (one per paper theorem/figure) ===\n";
-    if heavy then Experiments.run_everything () else Experiments.run_default ()
-  end
+  Exp_common.with_stats (fun () ->
+      print_speedups
+        (run_benchmarks (substrate_tests @ swap_eval_tests @ experiment_tests)))

@@ -85,11 +85,11 @@ let stats_arg =
 let stats_json_arg =
   let doc =
     "Enable the telemetry layer and write the metrics to $(docv) as a JSON \
-     array of {name, kind, value} rows (same row discipline as bench --json)."
+     array of {name, kind, value} rows."
   in
   Arg.(value & opt (some string) None & info [ "stats-json" ] ~docv:"FILE" ~doc)
 
-(* fail before the (long) run, not after it — the bench --json pattern *)
+(* fail before the (long) run, not after it *)
 let stats_json_writable path =
   match open_out path with
   | oc ->
@@ -115,7 +115,15 @@ let with_stats stats stats_json f =
       r
   end
 
+(* a library precondition failure (bad -n, budget, ...) is a clean CLI
+   error, not an uncaught exception *)
+let or_invalid f = try f () with Invalid_argument msg -> `Error (false, msg)
+
 (* --- generate ----------------------------------------------------------- *)
+
+(* a gnm edge target capped at the complete graph, so tiny n (the cap
+   binds only below n = 5) still yields a graph *)
+let gnm_edges n m = min m (n * (n - 1) / 2)
 
 let generate_families =
   [
@@ -136,6 +144,7 @@ let generate_families =
   ]
 
 let generate family n k dim seed edges_out =
+  or_invalid @@ fun () ->
   let rng = Prng.create seed in
   let need_n what = match n with
     | Some n -> n
@@ -158,7 +167,7 @@ let generate family n k dim seed edges_out =
     | `Tree -> Random_graphs.tree rng (need_n "tree")
     | `Gnm ->
       let n = need_n "gnm" in
-      Random_graphs.connected_gnm rng n (max (n - 1) (2 * n))
+      Random_graphs.connected_gnm rng n (gnm_edges n (max (n - 1) (2 * n)))
   in
   (match edges_out with
   | `Graph6 -> print_endline (Graph6.encode g)
@@ -188,13 +197,9 @@ let generate_cmd =
       & opt (enum [ ("graph6", `Graph6); ("edges", `Edges); ("dot", `Dot) ]) `Graph6
       & info [ "format" ] ~doc:"Output format: graph6 (default), edges, or dot.")
   in
-  let run family n k dim seed edges =
-    try generate family n k dim seed edges
-    with Invalid_argument msg -> `Error (false, msg)
-  in
   Cmd.v
     (Cmd.info "generate" ~doc:"Generate a graph from a named family")
-    Term.(ret (const run $ family $ n $ k $ dim $ seed $ edges))
+    Term.(ret (const generate $ family $ n $ k $ dim $ seed $ edges))
 
 (* --- info ---------------------------------------------------------------- *)
 
@@ -245,7 +250,7 @@ let dynamics_exact game n init seed max_rounds trace =
   let g =
     match init with
     | `Tree -> Random_graphs.tree rng n
-    | `Gnm -> Random_graphs.connected_gnm rng n (2 * n)
+    | `Gnm -> Random_graphs.connected_gnm rng n (gnm_edges n (2 * n))
     | `Path -> Generators.path n
     | `Cycle -> Generators.cycle n
   in
@@ -339,6 +344,7 @@ let dynamics_scale game n gen seed max_rounds jobs budget probes patience
 let dynamics engine game n init gen seed max_rounds jobs budget probes
     patience exact_confirm window ba_m er_deg ws_k ws_beta traj_every
     traj_sources trace stats stats_json =
+  or_invalid @@ fun () ->
   with_stats stats stats_json @@ fun () ->
   match engine with
   | `Exact ->
@@ -492,16 +498,9 @@ let print_census = function
 
 let census game n trees jobs workers parts retries timeout journal atlas_dir
     stats stats_json =
+  or_invalid @@ fun () ->
   with_stats stats stats_json @@ fun () ->
-  (* the game picks the graph census: orderly generation for the
-     isomorphism-invariant basic games (byte-identical output, far faster
-     and reaching n = 11), the rank-range sweep for the α-game, whose
-     verdicts depend on the labeling through edge ownership *)
-  let kind =
-    if trees then Census.Trees
-    else if Game.is_basic game then Census.Orderly
-    else Census.Graphs
-  in
+  let kind = if trees then Census.Trees else Census.graph_kind game in
   let shard = Census.full_shard kind game n in
   let atlas =
     match atlas_dir with
@@ -638,18 +637,11 @@ let census_cmd =
     in
     Arg.(value & opt (some string) None & info [ "atlas" ] ~docv:"DIR" ~doc)
   in
-  let run game n trees jobs workers parts retries timeout journal atlas stats
-      stats_json =
-    try
-      census game n trees jobs workers parts retries timeout journal atlas stats
-        stats_json
-    with Invalid_argument msg -> `Error (false, msg)
-  in
   Cmd.v
     (Cmd.info "census" ~doc:"Exhaustively classify equilibria on small vertex counts")
     Term.(
       ret
-        (const run $ game $ n $ trees $ jobs_arg $ workers $ parts
+        (const census $ game $ n $ trees $ jobs_arg $ workers $ parts
         $ retries $ timeout $ journal $ atlas $ stats_arg $ stats_json_arg))
 
 (* --- experiment -------------------------------------------------------------- *)
@@ -705,6 +697,7 @@ let experiment_cmd =
 (* --- hunt ---------------------------------------------------------------- *)
 
 let hunt n target_diameter steps seed game stats stats_json =
+  or_invalid @@ fun () ->
   with_stats stats stats_json @@ fun () ->
   let rng = Prng.create seed in
   let cfg = { (Hunt.default_config ~game ~n ~target_diameter ()) with Hunt.steps } in

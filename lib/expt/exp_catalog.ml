@@ -1,5 +1,5 @@
 let e22_equilibrium_catalog ?(n = 5) ?(game = Game.Sum) () =
-  let census = Census.graph_census ~pool:(Exp_common.pool ()) game n in
+  let census = Census.game_census ~pool:(Exp_common.pool ()) game n in
   let t =
     Table.create
       ~title:

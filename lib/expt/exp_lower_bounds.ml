@@ -63,7 +63,7 @@ let e4_graph_census ?(max_n = 6) ?(games = [ Game.Sum; Game.Max ]) () =
   List.iter
     (fun game ->
       for n = 3 to max_n do
-        let c = Census.graph_census ~pool:(Exp_common.pool ()) game n in
+        let c = Census.game_census ~pool:(Exp_common.pool ()) game n in
         Table.add_row t
           [
             Game.to_string game;

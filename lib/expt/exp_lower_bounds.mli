@@ -9,7 +9,7 @@ val e3_theorem5 : unit -> unit
 
 val e4_graph_census : ?max_n:int -> ?games:Game.t list -> unit -> unit
 (** Exhaustive classification of all connected graphs per n (default up
-    to 6; n = 7 takes ~40 s for sum): equilibrium counts up to
+    to 6), on the path {!Census.game_census} picks: equilibrium counts up to
     isomorphism and the diameter histogram. Shows the diameter-3 lower
     bound is not attainable for sum below n = 8 and is attainable for max
     at n = 6. *)

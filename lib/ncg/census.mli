@@ -9,8 +9,9 @@
     Every census runs through one pipeline: a {!shard} descriptor names a
     kind, a game, [n] and a rank range; {!run_shard} classifies it
     (optionally across a {!Pool.t}); {!merge_result} folds adjacent
-    pieces back together. {!tree_census}, {!graph_census} and
-    {!orderly_census} are projections of the full shard. *)
+    pieces back together. {!tree_census}, {!graph_census},
+    {!orderly_census} and {!game_census} are projections of the full
+    shard. *)
 
 type tree_census = {
   n : int;
@@ -92,6 +93,12 @@ val full_shard : kind -> Game.t -> int -> shard
 (** The whole census as a single shard: [lo = 0], [hi = shard_space].
     @raise Invalid_argument when [n] is out of range. *)
 
+val graph_kind : Game.t -> kind
+(** The graph census a game runs: {!Orderly} for the basic games,
+    {!Graphs} for the α-game (see {!validate_shard}). The CLI, the
+    experiment tables and the dispatch acceptance gate all pick their
+    graph census here. *)
+
 val validate_shard : shard -> (unit, string) Stdlib.result
 (** Total bounds check ([n] within the kind's cap, [0 <= lo <= hi <=]
     {!shard_space}), plus the game/kind compatibility rule ({!Orderly}
@@ -157,3 +164,8 @@ val orderly_census :
     [n <=] {!Orderly.max_vertices} because the walk is over classes, not
     the [2^(n(n-1)/2)] mask space.
     @raise Invalid_argument for a non-basic game. *)
+
+val game_census :
+  ?atlas:Atlas.t -> ?pool:Pool.t -> Game.t -> int -> graph_census
+(** {!run_shard} of the full shard of kind {!graph_kind}[ game]: the
+    graph census on the path [bncg census] takes. *)

@@ -119,5 +119,4 @@ val print_report : unit -> unit
 (** Sorted three-column table ({!Table}) on stdout. *)
 
 val write_json : string -> unit
-(** Dump {!rows} as a JSON array of [{"name", "kind", "value"}] objects —
-    the same shape-per-row discipline as the bench harness's [--json]. *)
+(** Dump {!rows} as a JSON array of [{"name", "kind", "value"}] objects. *)
