@@ -41,13 +41,16 @@ val count : ?lo:int -> ?hi:int -> int -> int
 (** Number of classes emitted by {!iter} over the same range. *)
 
 val min_mask_vertices : int
-(** 9 — cap for {!min_mask_graph}'s brute-force search. *)
+(** 9 — cap for {!min_mask_graph}. Past it {!representative} returns the
+    canonical copy, so n = 10–11 census output keeps that labeling. *)
 
 val min_mask_graph : Graph.t -> Graph.t
 (** The labeled copy with the minimum column-major edge-mask integer —
     exactly the first copy the rank-range census encounters, which makes
-    orderly census output byte-identical to the legacy path. O(n!) over
-    relabelings; intended for the few equilibrium classes only.
+    orderly census output byte-identical to the legacy path. An exact
+    branch and bound over positions, highest first: it branches only on
+    candidates whose mask column ties the minimum, one per twin class,
+    instead of trying all n! relabelings.
     @raise Invalid_argument past {!min_mask_vertices}. *)
 
 val mask_of_graph : Graph.t -> int

@@ -10,6 +10,8 @@ let m_canon_hits = Telemetry.counter "census.canon_hits"
 
 let m_canon_misses = Telemetry.counter "census.canon_misses"
 
+let m_representative = Telemetry.span "census.orderly.representative"
+
 type tree_census = {
   n : int;
   total : int;
@@ -201,7 +203,9 @@ let orderly_census_in ?atlas game n ~lo ~hi =
       connected := !connected + copies;
       if is_equilibrium_via ?atlas game g then begin
         labeled := !labeled + copies;
+        let t0 = Telemetry.start () in
         let rep = Orderly.representative g cert in
+        Telemetry.stop m_representative t0;
         reps := (Orderly.mask_of_graph rep, rep) :: !reps
       end);
   (* ascending mask order = the order the legacy sweep first sees each

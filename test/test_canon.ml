@@ -1,11 +1,5 @@
 open Test_helpers
 
-let relabel g perm =
-  (* perm.(v) is the new name of v *)
-  let h = Graph.create (Graph.n g) in
-  Graph.iter_edges (fun u v -> Graph.add_edge h perm.(u) perm.(v)) g;
-  h
-
 let test_refine_splits_degrees () =
   let g = Generators.star 5 in
   let c = Canon.refine g in

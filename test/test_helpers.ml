@@ -16,6 +16,12 @@ let qcheck ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count ~name gen prop)
 
+(* [perm.(v)] is the new name of [v] *)
+let relabel g perm =
+  let h = Graph.create (Graph.n g) in
+  Graph.iter_edges (fun u v -> Graph.add_edge h perm.(u) perm.(v)) g;
+  h
+
 (* Graphs are generated from (size, seed) pairs so QCheck sees a simple
    integer space while the graphs stay deterministic per seed. *)
 

@@ -4,11 +4,6 @@
 
 open Test_helpers
 
-let relabel g perm =
-  let h = Graph.create (Graph.n g) in
-  Graph.iter_edges (fun u v -> Graph.add_edge h perm.(u) perm.(v)) g;
-  h
-
 let with_random_perm seed g f =
   let rng = Prng.create seed in
   let perm = Array.init (Graph.n g) (fun i -> i) in

@@ -95,13 +95,60 @@ let cert_sane g =
        cert.Canon.position_vertices cert.Canon.perm
   && String.equal (Canon.canonical_form (Orderly.canonical_copy cert)) cert.Canon.form
 
-(* The minimum-mask copy is isomorphic to its input and no labeled copy
-   has a smaller column-major edge mask — the invariant that makes the
-   orderly census byte-identical to the rank-range census. *)
-let min_mask_sane g =
-  let m = Orderly.min_mask_graph g in
-  String.equal (Canon.canonical_form m) (Canon.canonical_form g)
-  && Orderly.mask_of_graph m <= Orderly.mask_of_graph g
+(* Oracle for [Orderly.min_mask_graph]: the minimum column-major edge
+   mask over all n! labelings, by brute force. *)
+let brute_min_mask g =
+  let n = Graph.n g in
+  let edges = Array.of_list (Graph.edges g) in
+  let pos = Array.make n (-1) in
+  let used = Array.make n false in
+  let best = ref max_int in
+  let rec go v =
+    if v = n then begin
+      let mask = ref 0 in
+      Array.iter
+        (fun (u, w) ->
+          let a = min pos.(u) pos.(w) and b = max pos.(u) pos.(w) in
+          mask := !mask lor (1 lsl ((b * (b - 1) / 2) + a)))
+        edges;
+      if !mask < !best then best := !mask
+    end
+    else
+      for p = 0 to n - 1 do
+        if not used.(p) then begin
+          used.(p) <- true;
+          pos.(v) <- p;
+          go (v + 1);
+          used.(p) <- false
+        end
+      done
+  in
+  go 0;
+  !best
+
+let search_min_mask g = Orderly.mask_of_graph (Orderly.min_mask_graph g)
+
+(* The search finds exactly the brute force's mask — the invariant that
+   makes the orderly census byte-identical to the rank-range census. *)
+let min_mask_exact g = search_min_mask g = brute_min_mask g
+
+(* every class on [n] vertices, as generated and randomly relabeled *)
+let check_min_mask_classes n =
+  let rng = Prng.create n in
+  Orderly.iter n (fun g _ ->
+      let oracle = brute_min_mask g in
+      let perm = Array.init n Fun.id in
+      Prng.shuffle_in_place rng perm;
+      check_int "min-mask search = brute force" oracle (search_min_mask g);
+      check_int "min-mask search on a relabeled copy = brute force" oracle
+        (search_min_mask (relabel g perm)))
+
+let test_min_mask_small () =
+  for n = 1 to 6 do
+    check_min_mask_classes n
+  done
+
+let test_min_mask_n7 () = check_min_mask_classes 7
 
 let suite =
   [
@@ -120,7 +167,10 @@ let suite =
     qcheck ~count:60 "certificate invariants on random connected graphs"
       (gen_connected ~min_n:1 ~max_n:7)
       cert_sane;
-    qcheck ~count:40 "min-mask copy is isomorphic and mask-minimal"
-      (gen_connected ~min_n:1 ~max_n:6)
-      min_mask_sane;
+    case "min-mask exact on all n <= 6 classes, relabeled too"
+      test_min_mask_small;
+    slow_case "min-mask exact on all n = 7 classes, relabeled too" test_min_mask_n7;
+    qcheck "min-mask exact on random connected graphs (n <= 8)"
+      (gen_connected ~min_n:1 ~max_n:8)
+      min_mask_exact;
   ]
