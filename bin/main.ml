@@ -29,8 +29,6 @@ let game_conv =
   let parse s = Result.map_error (fun msg -> `Msg msg) (Game.of_string s) in
   Arg.conv (parse, Game.pp)
 
-let game_doc = "Game: sum, max, or alpha:$(i,A) (e.g. alpha:1.5)."
-
 let graph6_arg =
   let doc = "The graph, as a graph6 string (as printed by $(b,bncg generate))." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"GRAPH6" ~doc)
@@ -42,6 +40,10 @@ let jobs_arg =
      sequential code path."
   in
   Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+
+let game_doc = "Game: sum, max, or alpha:$(i,A) (e.g. alpha:1.5)."
+let game_arg = Arg.(value & opt game_conv Game.Sum & info [ "game" ] ~doc:game_doc)
+let seed_arg = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"PRNG seed.")
 
 (* 0 = hardware default; every subcommand builds its pool through here so
    the domains are joined on the way out *)
@@ -190,7 +192,6 @@ let generate_cmd =
     Arg.(value & opt int 3 & info [ "k" ] ~doc:"Family parameter (torus k, polarity q, double-star second arm, ...).")
   in
   let dim = Arg.(value & opt int 2 & info [ "dim" ] ~doc:"Torus dimension.") in
-  let seed = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"PRNG seed.") in
   let edges =
     Arg.(
       value
@@ -199,7 +200,7 @@ let generate_cmd =
   in
   Cmd.v
     (Cmd.info "generate" ~doc:"Generate a graph from a named family")
-    Term.(ret (const generate $ family $ n $ k $ dim $ seed $ edges))
+    Term.(ret (const generate $ family $ n $ k $ dim $ seed_arg $ edges))
 
 (* --- info ---------------------------------------------------------------- *)
 
@@ -238,10 +239,9 @@ let check game jobs stats stats_json g6 =
     `Ok ()
 
 let check_cmd =
-  let game = Arg.(value & opt game_conv Game.Sum & info [ "game" ] ~doc:game_doc) in
   Cmd.v
     (Cmd.info "check" ~doc:"Check whether a graph is an equilibrium of the chosen game")
-    Term.(ret (const check $ game $ jobs_arg $ stats_arg $ stats_json_arg $ graph6_arg))
+    Term.(ret (const check $ game_arg $ jobs_arg $ stats_arg $ stats_json_arg $ graph6_arg))
 
 (* --- dynamics --------------------------------------------------------------- *)
 
@@ -367,7 +367,6 @@ let dynamics engine game n init gen seed max_rounds jobs budget probes
       trace
 
 let dynamics_cmd =
-  let game = Arg.(value & opt game_conv Game.Sum & info [ "game" ] ~doc:game_doc) in
   let engine =
     Arg.(
       value
@@ -394,7 +393,6 @@ let dynamics_cmd =
             "Initial network for --engine scale: ba (preferential \
              attachment), er (Erdos-Renyi), ws (Watts-Strogatz).")
   in
-  let seed = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"PRNG seed.") in
   let rounds =
     Arg.(
       value & opt int 0
@@ -462,7 +460,7 @@ let dynamics_cmd =
     (Cmd.info "dynamics" ~doc:"Run best-response swap dynamics to equilibrium")
     Term.(
       ret
-        (const dynamics $ engine $ game $ n $ init $ gen $ seed $ rounds
+        (const dynamics $ engine $ game_arg $ n $ init $ gen $ seed_arg $ rounds
        $ jobs_arg $ budget $ probes $ patience $ exact_confirm $ window $ ba_m
        $ er_deg $ ws_k $ ws_beta $ traj_every $ traj_sources $ trace
        $ stats_arg $ stats_json_arg))
@@ -578,7 +576,6 @@ let worker_conv =
   Arg.conv (parse, pp)
 
 let census_cmd =
-  let game = Arg.(value & opt game_conv Game.Sum & info [ "game" ] ~doc:game_doc) in
   let n =
     let doc =
       Printf.sprintf "Vertex count (trees <= %d, sum/max <= %d, alpha <= %d)."
@@ -641,7 +638,7 @@ let census_cmd =
     (Cmd.info "census" ~doc:"Exhaustively classify equilibria on small vertex counts")
     Term.(
       ret
-        (const census $ game $ n $ trees $ jobs_arg $ workers $ parts
+        (const census $ game_arg $ n $ trees $ jobs_arg $ workers $ parts
         $ retries $ timeout $ journal $ atlas $ stats_arg $ stats_json_arg))
 
 (* --- experiment -------------------------------------------------------------- *)
@@ -718,12 +715,10 @@ let hunt_cmd =
   let n = Arg.(value & opt int 10 & info [ "n" ] ~doc:"Vertex count.") in
   let target = Arg.(value & opt int 3 & info [ "diameter" ] ~doc:"Required minimum diameter.") in
   let steps = Arg.(value & opt int 4000 & info [ "steps" ] ~doc:"Annealing steps per restart.") in
-  let seed = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"PRNG seed.") in
-  let game = Arg.(value & opt game_conv Game.Sum & info [ "game" ] ~doc:game_doc) in
   Cmd.v
     (Cmd.info "hunt" ~doc:"Search for high-diameter equilibria by simulated annealing")
     Term.(
-      ret (const hunt $ n $ target $ steps $ seed $ game $ stats_arg $ stats_json_arg))
+      ret (const hunt $ n $ target $ steps $ seed_arg $ game_arg $ stats_arg $ stats_json_arg))
 
 (* --- audit ---------------------------------------------------------------- *)
 
@@ -969,7 +964,6 @@ let atlas_stats dir =
     Printf.printf "segments: %d\n" s.Atlas.segments;
     Printf.printf "records: %d\n" s.Atlas.records;
     Printf.printf "bytes: %d\n" s.Atlas.bytes;
-    Printf.printf "snapshot used: %b\n" s.Atlas.snapshot_used;
     Printf.printf "torn tails skipped: %d\n" s.Atlas.torn_records;
     Printf.printf "corrupt records skipped: %d\n" s.Atlas.corrupt_records;
     `Ok ()

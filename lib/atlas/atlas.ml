@@ -4,12 +4,10 @@
    the dispatch checkpoint journal. *)
 
 let magic = "bncgatl1"
-let snap_magic = "bncgsnp1"
 let magic_len = 8
 let header_len = 12 (* klen + vlen + crc32, u32le each *)
 let max_klen = 1 lsl 24
 let max_vlen = 1 lsl 28
-let snapshot_name = "index.snap"
 let lock_name = "lock"
 let shard_count = 16
 
@@ -55,28 +53,16 @@ let release_writer key fd =
   Hashtbl.remove live_writers key;
   Mutex.unlock live_writers_lock
 
-type pending = { pk : string; pv : string }
-
 type t = {
   dir : string;
   readonly : bool;
   max_segment_bytes : int;
   shards : (string, string) Hashtbl.t array;
   shard_locks : Mutex.t array;
-  (* Appender queue; q_lock also guards enqueued/written/closing and both
-     conditions. *)
-  q : pending Queue.t;
-  q_lock : Mutex.t;
-  q_cond : Condition.t; (* work available / closing *)
-  done_cond : Condition.t; (* written advanced *)
-  mutable enqueued : int;
-  mutable written : int;
-  mutable closing : bool;
-  mutable closed : bool;
-  mutable appender : unit Domain.t option;
-  (* io_lock guards the segment fd and byte accounting: held by the
-     appender while writing and by flush while fsyncing. *)
+  (* io_lock guards the segment fd, byte accounting, io_error and closed:
+     held by add while writing and by flush and close while fsyncing. *)
   io_lock : Mutex.t;
+  mutable closed : bool;
   mutable seg_fd : Unix.file_descr option;
   mutable seg_id : int;
   mutable seg_bytes : int;
@@ -89,7 +75,6 @@ type t = {
   s_misses : int Atomic.t;
   s_appended : int Atomic.t;
   s_duplicates : int Atomic.t;
-  snapshot_used : bool;
   torn_records : int;
   corrupt_records : int;
 }
@@ -102,7 +87,6 @@ type stats = {
   duplicates : int;
   hits : int;
   misses : int;
-  snapshot_used : bool;
   torn_records : int;
   corrupt_records : int;
 }
@@ -191,18 +175,17 @@ type scan_result = {
   sc_corrupt : int; (* well-framed records failing their checksum *)
 }
 
-(* Scan [path] from byte [from] (0 = check magic, start after it),
-   calling [emit] for each valid record in order. Stops at a torn tail
-   or corrupt framing; skips (but continues past) well-framed records
-   with checksum mismatches, so every complete record is recovered. *)
-let scan_segment ?(from = 0) path ~emit =
+(* Scan [path] after its magic, calling [emit] for each valid record in
+   order. Stops at a torn tail or corrupt framing; skips (but continues
+   past) well-framed records with checksum mismatches, so every complete
+   record is recovered. *)
+let scan_segment path ~emit =
   let data = read_file path in
   let len = String.length data in
-  if from = 0 && len < magic_len then Error `Short_magic
-  else if from = 0 && String.sub data 0 magic_len <> magic then
-    Error `Bad_magic
+  if len < magic_len then Error `Short_magic
+  else if String.sub data 0 magic_len <> magic then Error `Bad_magic
   else begin
-    let pos = ref (max from magic_len) in
+    let pos = ref magic_len in
     let last_good = ref !pos in
     let valid = ref 0 and torn = ref 0 and corrupt = ref 0 in
     let stop = ref false in
@@ -253,87 +236,23 @@ let scan_segment ?(from = 0) path ~emit =
       }
   end
 
-(* ---------- snapshot ---------- *)
+(* ---------- index ---------- *)
 
-(* index.snap layout: "bncgsnp1" | nsegs:u32 | (id:u32 covered:u32)*
-   | nrecords:u32 | crc32(bytes 8..here):u32 | records in segment
-   framing. Written atomically on clean close; ANY anomaly on load
-   discards the whole snapshot (full rescan instead). *)
+let shard_index key = Hashtbl.hash key land (shard_count - 1)
 
-let snap_path dir = Filename.concat dir snapshot_name
+let index_mem t key =
+  let i = shard_index key in
+  Mutex.protect t.shard_locks.(i) (fun () -> Hashtbl.mem t.shards.(i) key)
 
-let load_snapshot dir =
-  let path = snap_path dir in
-  if not (Sys.file_exists path) then None
-  else
-    match read_file path with
-    | exception _ -> None
-    | data -> (
-        let len = String.length data in
-        try
-          if len < magic_len + 4 then raise Exit;
-          if String.sub data 0 magic_len <> snap_magic then raise Exit;
-          let nsegs = get_u32 data magic_len in
-          if nsegs > 1_000_000 then raise Exit;
-          let tbl_end = magic_len + 4 + (nsegs * 8) in
-          if len < tbl_end + 8 then raise Exit;
-          let covered = Hashtbl.create 16 in
-          for i = 0 to nsegs - 1 do
-            let off = magic_len + 4 + (i * 8) in
-            let id = get_u32 data off and cov = get_u32 data (off + 4) in
-            if cov < magic_len || Hashtbl.mem covered id then raise Exit;
-            Hashtbl.add covered id cov
-          done;
-          let nrec = get_u32 data tbl_end in
-          let hdr_crc = get_u32 data (tbl_end + 4) in
-          if
-            Checksum.crc32 ~pos:magic_len ~len:(tbl_end + 4 - magic_len) data
-            <> hdr_crc
-          then raise Exit;
-          let pos = ref (tbl_end + 8) in
-          let recs = ref [] in
-          for _ = 1 to nrec do
-            if len - !pos < header_len then raise Exit;
-            let klen = get_u32 data !pos in
-            let vlen = get_u32 data (!pos + 4) in
-            let crc = get_u32 data (!pos + 8) in
-            if klen > max_klen || vlen > max_vlen then raise Exit;
-            let kpos = !pos + header_len in
-            if len - kpos < klen + vlen then raise Exit;
-            let actual =
-              Checksum.crc32 ~pos:(kpos + klen) ~len:vlen
-                ~crc:(Checksum.crc32 ~pos:kpos ~len:klen data)
-                data
-            in
-            if actual <> crc then raise Exit;
-            recs :=
-              ( String.sub data kpos klen,
-                String.sub data (kpos + klen) vlen )
-              :: !recs;
-            pos := kpos + klen + vlen
-          done;
-          if !pos <> len then raise Exit;
-          Some (covered, List.rev !recs)
-        with Exit -> None)
-
-(* ---------- handle helpers ---------- *)
-
-let shard_of t key = t.shards.(Hashtbl.hash key land (shard_count - 1))
-let shard_lock_of t key = t.shard_locks.(Hashtbl.hash key land (shard_count - 1))
-
-let index_add_if_absent t key value =
-  let tbl = shard_of t key and lk = shard_lock_of t key in
-  Mutex.lock lk;
-  let fresh = not (Hashtbl.mem tbl key) in
-  if fresh then Hashtbl.add tbl key value;
-  Mutex.unlock lk;
-  fresh
+let index_add t key value =
+  let i = shard_index key in
+  Mutex.protect t.shard_locks.(i) (fun () -> Hashtbl.add t.shards.(i) key value)
 
 let find t key =
-  let tbl = shard_of t key and lk = shard_lock_of t key in
-  Mutex.lock lk;
-  let r = Hashtbl.find_opt tbl key in
-  Mutex.unlock lk;
+  let i = shard_index key in
+  let r =
+    Mutex.protect t.shard_locks.(i) (fun () -> Hashtbl.find_opt t.shards.(i) key)
+  in
   (match r with
   | Some _ ->
       Atomic.incr t.s_hits;
@@ -343,7 +262,10 @@ let find t key =
       Telemetry.incr c_misses);
   r
 
-(* ---------- appender ---------- *)
+let index_size t =
+  Array.fold_left (fun acc tbl -> acc + Hashtbl.length tbl) 0 t.shards
+
+(* ---------- write path ---------- *)
 
 let create_segment t id =
   let fd =
@@ -369,59 +291,19 @@ let roll_segment t =
   create_segment t (t.seg_id + 1);
   Telemetry.incr c_rolls
 
-let write_batch t batch =
-  Mutex.lock t.io_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.io_lock)
-    (fun () ->
-      if t.io_error = None then
-        try
-          let buf = Buffer.create 4096 in
-          let flush_buf () =
-            if Buffer.length buf > 0 then begin
-              write_all (Option.get t.seg_fd) (Buffer.to_bytes buf);
-              t.seg_bytes <- t.seg_bytes + Buffer.length buf;
-              t.disk_bytes <- t.disk_bytes + Buffer.length buf;
-              Buffer.clear buf
-            end
-          in
-          List.iter
-            (fun p ->
-              let rec_len =
-                header_len + String.length p.pk + String.length p.pv
-              in
-              let filled = t.seg_bytes + Buffer.length buf in
-              if filled > magic_len && filled + rec_len > t.max_segment_bytes
-              then begin
-                flush_buf ();
-                roll_segment t
-              end;
-              encode_record buf ~key:p.pk ~value:p.pv)
-            batch;
-          flush_buf ();
-          let n = List.length batch in
-          Atomic.fetch_and_add t.s_appended n |> ignore;
-          Telemetry.add c_appends n
-        with e -> t.io_error <- Some (Printexc.to_string e))
-
-let rec appender_loop t =
-  Mutex.lock t.q_lock;
-  while Queue.is_empty t.q && not t.closing do
-    Condition.wait t.q_cond t.q_lock
-  done;
-  let batch = List.rev (Queue.fold (fun acc p -> p :: acc) [] t.q) in
-  Queue.clear t.q;
-  let closing = t.closing in
-  Mutex.unlock t.q_lock;
-  match batch with
-  | [] -> if not closing then appender_loop t (* spurious wakeup *)
-  | _ ->
-      write_batch t batch;
-      Mutex.lock t.q_lock;
-      t.written <- t.written + List.length batch;
-      Condition.broadcast t.done_cond;
-      Mutex.unlock t.q_lock;
-      appender_loop t
+(* io_lock held. A record that would overflow a non-empty segment goes
+   into the next one. *)
+let write_record t ~key ~value =
+  let len = header_len + String.length key + String.length value in
+  if t.seg_bytes > magic_len && t.seg_bytes + len > t.max_segment_bytes then
+    roll_segment t;
+  let buf = Buffer.create len in
+  encode_record buf ~key ~value;
+  write_all (Option.get t.seg_fd) (Buffer.to_bytes buf);
+  t.seg_bytes <- t.seg_bytes + len;
+  t.disk_bytes <- t.disk_bytes + len;
+  Atomic.incr t.s_appended;
+  Telemetry.incr c_appends
 
 (* ---------- public API ---------- *)
 
@@ -430,91 +312,39 @@ let add t ~key ~value =
   if String.length key > max_klen then invalid_arg "Atlas.add: key too large";
   if String.length value > max_vlen then
     invalid_arg "Atlas.add: value too large";
-  if not (index_add_if_absent t key value) then begin
+  Mutex.protect t.io_lock @@ fun () ->
+  if t.closed then invalid_arg "Atlas.add: closed handle";
+  if index_mem t key then begin
     Atomic.incr t.s_duplicates;
     Telemetry.incr c_duplicates
   end
   else begin
-    Mutex.lock t.q_lock;
-    if t.closing then begin
-      Mutex.unlock t.q_lock;
-      invalid_arg "Atlas.add: closed handle"
-    end;
-    Queue.push { pk = key; pv = value } t.q;
-    t.enqueued <- t.enqueued + 1;
-    Condition.signal t.q_cond;
-    Mutex.unlock t.q_lock
+    (* Write before publishing, so [find] only serves what a segment
+       holds. After an I/O error the record stays in memory only, and
+       the next [flush] reports the error. *)
+    (if t.io_error = None then
+       try write_record t ~key ~value
+       with e -> t.io_error <- Some (Printexc.to_string e));
+    index_add t key value
   end
 
 let flush t =
-  if not t.readonly then begin
-    Mutex.lock t.q_lock;
-    let target = t.enqueued in
-    while t.written < target do
-      Condition.wait t.done_cond t.q_lock
-    done;
-    Mutex.unlock t.q_lock;
-    Mutex.lock t.io_lock;
-    let err = t.io_error in
-    (match t.seg_fd with
-    | Some fd when err = None -> Unix.fsync fd
-    | _ -> ());
-    Mutex.unlock t.io_lock;
-    match err with
-    | Some e -> failwith ("Atlas: append failed: " ^ e)
-    | None -> ()
-  end
-
-let index_size t =
-  Array.fold_left (fun acc tbl -> acc + Hashtbl.length tbl) 0 t.shards
-
-let write_snapshot t =
-  let ids = list_segments t.dir in
-  let buf = Buffer.create (64 * 1024) in
-  Buffer.add_string buf snap_magic;
-  put_u32 buf (List.length ids);
-  List.iter
-    (fun id ->
-      put_u32 buf id;
-      put_u32 buf (Unix.stat (seg_path t.dir id)).Unix.st_size)
-    ids;
-  put_u32 buf (index_size t);
-  let hdr = Buffer.contents buf in
-  put_u32 buf (Checksum.crc32 ~pos:magic_len hdr);
-  Array.iter
-    (fun tbl -> Hashtbl.iter (fun key value -> encode_record buf ~key ~value) tbl)
-    t.shards;
-  let tmp = snap_path t.dir ^ ".tmp" in
-  let fd =
-    Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-  in
-  write_all fd (Buffer.to_bytes buf);
-  Unix.fsync fd;
-  Unix.close fd;
-  Unix.rename tmp (snap_path t.dir);
-  fsync_dir t.dir
+  Mutex.protect t.io_lock @@ fun () ->
+  match t.io_error with
+  | Some e -> failwith ("Atlas: append failed: " ^ e)
+  | None -> Option.iter Unix.fsync t.seg_fd
 
 let close t =
+  Mutex.protect t.io_lock @@ fun () ->
   if not t.closed then begin
     t.closed <- true;
-    if not t.readonly then begin
-      Mutex.lock t.q_lock;
-      t.closing <- true;
-      Condition.broadcast t.q_cond;
-      Mutex.unlock t.q_lock;
-      (match t.appender with Some d -> Domain.join d | None -> ());
-      t.appender <- None;
-      if t.io_error = None then (try write_snapshot t with _ -> ());
-      (match t.seg_fd with
-      | Some fd ->
-          (try Unix.fsync fd with Unix.Unix_error _ -> ());
-          Unix.close fd;
-          t.seg_fd <- None
-      | None -> ());
-      match t.lock with
-      | Some (key, fd) -> release_writer key fd
-      | None -> ()
-    end
+    Option.iter
+      (fun fd ->
+        (try Unix.fsync fd with Unix.Unix_error _ -> ());
+        Unix.close fd)
+      t.seg_fd;
+    t.seg_fd <- None;
+    Option.iter (fun (key, fd) -> release_writer key fd) t.lock
   end
 
 let stats t =
@@ -526,7 +356,6 @@ let stats t =
     duplicates = Atomic.get t.s_duplicates;
     hits = Atomic.get t.s_hits;
     misses = Atomic.get t.s_misses;
-    snapshot_used = t.snapshot_used;
     torn_records = t.torn_records;
     corrupt_records = t.corrupt_records;
   }
@@ -541,150 +370,90 @@ let open_ ?(readonly = false) ?(max_segment_bytes = 8 * 1024 * 1024) dir =
     if not (Sys.is_directory dir) then failwith (dir ^ ": not a directory");
     let lock = if readonly then None else Some (acquire_writer dir) in
     try
-      let t =
-      {
-        dir;
-        readonly;
-        max_segment_bytes;
-        shards = Array.init shard_count (fun _ -> Hashtbl.create 256);
-        shard_locks = Array.init shard_count (fun _ -> Mutex.create ());
-        q = Queue.create ();
-        q_lock = Mutex.create ();
-        q_cond = Condition.create ();
-        done_cond = Condition.create ();
-        enqueued = 0;
-        written = 0;
-        closing = false;
-        closed = false;
-        appender = None;
-        io_lock = Mutex.create ();
-        seg_fd = None;
-        seg_id = -1;
-        seg_bytes = 0;
-        seg_count = 0;
-        disk_bytes = 0;
-        io_error = None;
-        lock;
-        s_hits = Atomic.make 0;
-        s_misses = Atomic.make 0;
-        s_appended = Atomic.make 0;
-        s_duplicates = Atomic.make 0;
-        snapshot_used = false;
-        torn_records = 0;
-        corrupt_records = 0;
-      }
-    in
-    let ids = list_segments dir in
-    let snapshot = load_snapshot dir in
-    (* A snapshot is usable only if every segment it covers still exists
-       with at least the covered bytes (compaction/truncation make it
-       stale beyond repair → full rescan). *)
-    let covered =
-      match snapshot with
-      | None -> None
-      | Some (cov, recs) ->
-          let ok =
-            Hashtbl.fold
-              (fun id c acc ->
-                acc && List.mem id ids
-                && (try (Unix.stat (seg_path dir id)).Unix.st_size >= c
-                    with Unix.Unix_error _ -> false))
-              cov true
-          in
-          if ok then begin
-            List.iter
-              (fun (k, v) -> ignore (index_add_if_absent t k v))
-              recs;
-            Some cov
-          end
-          else begin
-            (* Snapshot was unusable: drop the partially loaded records
-               and rescan from scratch. *)
-            Array.iter Hashtbl.reset t.shards;
-            None
-          end
-    in
-    let snapshot_used = covered <> None in
-    let torn = ref 0 and corrupt = ref 0 and disk = ref 0 and nsegs = ref 0 in
-    let emit ~key ~value = ignore (index_add_if_absent t key value) in
-    let last_id = match List.rev ids with [] -> -1 | id :: _ -> id in
-    List.iter
-      (fun id ->
-        let path = seg_path dir id in
-        let from =
-          match covered with
-          | Some cov -> ( match Hashtbl.find_opt cov id with
-            | Some c -> c
-            | None -> 0)
-          | None -> 0
-        in
-        match scan_segment ~from path ~emit with
-        | Ok r ->
-            incr nsegs;
-            torn := !torn + r.sc_torn;
-            corrupt := !corrupt + r.sc_corrupt;
-            if (not readonly) && r.sc_end < r.sc_size then begin
-              (* torn tail / corrupt framing: truncate back to the last
-                 well-framed boundary so appends restart cleanly *)
-              Unix.truncate path r.sc_end;
-              disk := !disk + r.sc_end
-            end
-            else disk := !disk + r.sc_size
-        | Error `Short_magic ->
-            (* a crash during initial segment creation can leave a short
-               file; only tolerable at the tail of the id sequence *)
-            if id = last_id then begin
+      let shards = Array.init shard_count (fun _ -> Hashtbl.create 256) in
+      let emit ~key ~value =
+        let tbl = shards.(shard_index key) in
+        if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key value
+      in
+      let ids = list_segments dir in
+      let last_id = List.fold_left max (-1) ids in
+      let torn = ref 0 and corrupt = ref 0 and disk = ref 0 and nsegs = ref 0 in
+      List.iter
+        (fun id ->
+          let path = seg_path dir id in
+          match scan_segment path ~emit with
+          | Ok r ->
+              incr nsegs;
+              torn := !torn + r.sc_torn;
+              corrupt := !corrupt + r.sc_corrupt;
+              if (not readonly) && r.sc_end < r.sc_size then begin
+                (* torn tail / corrupt framing: truncate back to the last
+                   well-framed boundary so appends restart cleanly *)
+                Unix.truncate path r.sc_end;
+                disk := !disk + r.sc_end
+              end
+              else disk := !disk + r.sc_size
+          | Error `Short_magic when id = last_id ->
+              (* a crash during initial segment creation can leave a short
+                 file; only tolerable at the tail of the id sequence *)
               incr nsegs;
               incr torn;
               if not readonly then Unix.truncate path 0
-            end
-            else failwith (path ^ ": truncated segment magic")
-        | Error `Bad_magic -> failwith (path ^ ": bad segment magic"))
-      ids;
-    if !torn > 0 then Telemetry.add c_torn !torn;
-    if !corrupt > 0 then Telemetry.add c_corrupt !corrupt;
-    let t =
-      {
-        t with
-        snapshot_used;
-        torn_records = !torn;
-        corrupt_records = !corrupt;
-        seg_count = !nsegs;
-        disk_bytes = !disk;
-      }
-    in
-    if not readonly then begin
-      (* Open the tail segment for appends (creating it if the directory
-         is empty or its file was truncated to zero by magic repair). *)
-      (match List.rev ids with
-      | [] -> create_segment t 0
-      | id :: _ ->
-          let path = seg_path dir id in
+          | Error `Short_magic -> failwith (path ^ ": truncated segment magic")
+          | Error `Bad_magic -> failwith (path ^ ": bad segment magic"))
+        ids;
+      if !torn > 0 then Telemetry.add c_torn !torn;
+      if !corrupt > 0 then Telemetry.add c_corrupt !corrupt;
+      let t =
+        {
+          dir;
+          readonly;
+          max_segment_bytes;
+          shards;
+          shard_locks = Array.init shard_count (fun _ -> Mutex.create ());
+          io_lock = Mutex.create ();
+          closed = false;
+          seg_fd = None;
+          seg_id = -1;
+          seg_bytes = 0;
+          seg_count = !nsegs;
+          disk_bytes = !disk;
+          io_error = None;
+          lock;
+          s_hits = Atomic.make 0;
+          s_misses = Atomic.make 0;
+          s_appended = Atomic.make 0;
+          s_duplicates = Atomic.make 0;
+          torn_records = !torn;
+          corrupt_records = !corrupt;
+        }
+      in
+      if not readonly then begin
+        (* Open the tail segment for appends (creating it if the directory
+           is empty or its file was truncated to zero by magic repair). *)
+        if last_id < 0 then create_segment t 0
+        else begin
+          let path = seg_path dir last_id in
           let size = (Unix.stat path).Unix.st_size in
           if size < magic_len then begin
             (* truncated-to-zero magic repair above *)
             Unix.unlink path;
             t.seg_count <- t.seg_count - 1;
-            create_segment t id
+            create_segment t last_id
           end
           else begin
-            let fd =
-              Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644
-            in
-            t.seg_fd <- Some fd;
-            t.seg_id <- id;
+            t.seg_fd <-
+              Some (Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644);
+            t.seg_id <- last_id;
             t.seg_bytes <- size
-          end);
-      t.appender <- Some (Domain.spawn (fun () -> appender_loop t))
-    end;
-    Ok t
-    with
-    | e ->
-        (* don't leak the writer slot on a failed open *)
-        (match lock with
-        | Some (key, fd) -> release_writer key fd
-        | None -> ());
-        raise e
+          end
+        end
+      end;
+      Ok t
+    with e ->
+      (* don't leak the writer slot on a failed open *)
+      Option.iter (fun (key, fd) -> release_writer key fd) lock;
+      raise e
   with
   | Failure m -> Error m
   | Invalid_argument m -> Error m
@@ -699,6 +468,7 @@ let verify dir =
     if not (Sys.file_exists dir && Sys.is_directory dir) then
       failwith (dir ^ ": no such atlas directory");
     let ids = list_segments dir in
+    let last_id = List.fold_left max (-1) ids in
     let live = Hashtbl.create 4096 in
     let records = ref 0
     and torn = ref 0
@@ -718,10 +488,11 @@ let verify dir =
             torn := !torn + r.sc_torn;
             corrupt := !corrupt + r.sc_corrupt;
             bytes := !bytes + r.sc_size
-        | Error `Short_magic ->
+        | Error `Short_magic when id = last_id ->
             incr nsegs;
             incr torn;
             bytes := !bytes + (Unix.stat path).Unix.st_size
+        | Error `Short_magic -> failwith (path ^ ": truncated segment magic")
         | Error `Bad_magic -> failwith (path ^ ": bad segment magic"))
       ids;
     Ok
@@ -818,9 +589,8 @@ let compact ?(max_segment_bytes = 8 * 1024 * 1024) dir =
           live;
         flush_segment ();
         fsync_dir dir;
-        (* All new segments durable: now drop the old ones + snapshot. *)
+        (* All new segments durable: now drop the old ones. *)
         List.iter (fun id -> Unix.unlink (seg_path dir id)) ids;
-        if Sys.file_exists (snap_path dir) then Unix.unlink (snap_path dir);
         fsync_dir dir;
         Ok
           {

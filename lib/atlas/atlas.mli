@@ -10,11 +10,9 @@
     [atlas-NNNNNN.seg], each starting with an 8-byte magic and holding
     length-prefixed, CRC-32-checksummed records
     [klen:u32le][vlen:u32le][crc32(key+value):u32le][key][value].
-    Segments are fsynced when rolled; an in-memory hash index (sharded
-    by key hash) is rebuilt on open and persisted on clean close as a
-    {e disposable} snapshot ([index.snap]) that open uses to skip
-    rescanning covered segment prefixes — any anomaly in the snapshot
-    discards it and falls back to a full rescan.
+    Segments are fsynced when rolled. The segments are the only store:
+    open rebuilds an in-memory hash index (sharded by key hash) by
+    scanning every segment.
 
     {b Recovery rules} (applied per segment on open/verify/compact):
     a truncated record at end of file is a {e torn tail} — scanning
@@ -25,14 +23,12 @@
     a torn tail. First write wins: when the same key appears twice the
     earlier record is authoritative.
 
-    {b Concurrency.} [add] inserts into the sharded index synchronously
-    (first-write-wins dedup under a shard lock) and enqueues the record
-    for a single appender domain that batch-writes to the current
-    segment, so serve workers, census shards and hunt threads share one
-    handle without a lock convoy on the write path. [flush] blocks
-    until everything enqueued so far is written and fsynced. A [lock]
-    file ([lockf]) enforces a single writer per directory; read-only
-    handles skip it. *)
+    {b Concurrency.} Serve workers and census shards share one handle.
+    [find] takes one shard lock of the index. [add] writes its record to
+    the current segment under one I/O lock, then inserts it into the
+    index, so [find] only serves records a segment holds. A [lock] file
+    ([lockf]) enforces a single writer per directory; read-only handles
+    skip it. *)
 
 type t
 
@@ -50,30 +46,33 @@ val find : t -> string -> string option
 
 val add : t -> key:string -> value:string -> unit
 (** First write wins: if [key] is already present (loaded or added)
-    this is a no-op counted as a duplicate. Otherwise the pair becomes
-    visible to [find] immediately and is enqueued for the appender;
-    durability requires a later [flush] (or clean [close]). Raises
-    [Invalid_argument] on a read-only or closed handle. *)
+    this is a no-op counted as a duplicate. Otherwise the record is
+    written to the current segment (rolling it at [max_segment_bytes])
+    and then becomes visible to [find]. Once [add] returns, the record
+    survives the death of the process; it survives power loss once a
+    later [flush] or [close] returns. An I/O error is never raised here:
+    the pair stays visible in memory, further writes stop, and the next
+    [flush] reports it. Raises [Invalid_argument] on a read-only or
+    closed handle. *)
 
 val flush : t -> unit
-(** Wait until every record enqueued before this call is written, then
-    fsync the current segment. Raises [Failure] if the appender hit an
-    I/O error (e.g. disk full). No-op on read-only handles. *)
+(** Fsync the current segment. Raises [Failure] if an earlier [add] hit
+    an I/O error (e.g. disk full); otherwise a no-op on read-only and
+    closed handles. *)
 
 val close : t -> unit
-(** Drain the appender, write the index snapshot, fsync and release the
-    writer lock. Idempotent. [find] keeps answering from the in-memory
-    index after close; [add] raises. *)
+(** Fsync and close the current segment and release the writer lock.
+    Idempotent. [find] keeps answering from the in-memory index after
+    close; [add] raises. *)
 
 type stats = {
   segments : int;  (** live segment files *)
   records : int;  (** distinct keys in the index *)
   bytes : int;  (** total segment bytes on disk *)
-  appended : int;  (** records durably written by this handle *)
+  appended : int;  (** records written by this handle *)
   duplicates : int;  (** [add]s dropped by first-write-wins *)
   hits : int;
   misses : int;
-  snapshot_used : bool;  (** open skipped rescans via [index.snap] *)
   torn_records : int;  (** torn tails skipped at open *)
   corrupt_records : int;  (** checksum-failed records skipped at open *)
 }
@@ -91,9 +90,11 @@ type verify_report = {
 
 val verify : string -> (verify_report, string) result
 (** Re-read every segment in [dir] from byte 0 and checksum every
-    record. Ignores the snapshot. Does not take the writer lock, so it
-    can audit a directory that is being served (it sees a consistent
-    prefix). Errors on an unreadable directory or a damaged magic. *)
+    record, under the same recovery rules as {!open_}. Does not take the
+    writer lock, so it can audit a directory that is being served (it
+    sees a consistent prefix). Errors where {!open_} does: an unreadable
+    directory, a bad magic, or a truncated magic on any segment but the
+    last. *)
 
 type compact_report = {
   c_segments_before : int;
@@ -107,7 +108,7 @@ type compact_report = {
 val compact :
   ?max_segment_bytes:int -> string -> (compact_report, string) result
 (** Rewrite live records (first-write-wins, valid checksums only) into
-    fresh segments and delete the old ones plus the snapshot. Takes the
+    fresh segments and delete the old ones. Takes the
     writer lock for the duration. Crash-safe ordering: new segments are
     written to temp files, fsynced and renamed into place at ids above
     the old maximum {e before} any old segment is unlinked, so a crash

@@ -350,8 +350,8 @@ let rec run_shard ?atlas ?pool s =
     (* each chunk re-seeds its own odometer / mask / root cursor, so
        chunks are independent, and fold_chunks merges them in ascending
        rank order — the order every merge assumes. The atlas handle is
-       domain-safe: the index is sharded under mutexes and appends
-       funnel through its single appender. *)
+       domain-safe: the index is sharded under mutexes and appends are
+       written under one I/O lock. *)
     Pool.fold_chunks pool ~n:(s.hi - s.lo)
       ~fold:(fun ~lo ~hi ->
         run_shard ?atlas { s with lo = s.lo + lo; hi = s.lo + hi })

@@ -231,7 +231,6 @@ let stats_result srv =
               ("duplicates", Jsonx.Int s.Atlas.duplicates);
               ("hits", Jsonx.Int s.Atlas.hits);
               ("misses", Jsonx.Int s.Atlas.misses);
-              ("snapshot_used", Jsonx.Bool s.Atlas.snapshot_used);
               ("torn_records", Jsonx.Int s.Atlas.torn_records);
               ("corrupt_records", Jsonx.Int s.Atlas.corrupt_records);
             ] );

@@ -1,12 +1,13 @@
 (* Atlas: crash-safe append-only content-addressed store.
 
    Covers the CRC-32 helper, round-trips across reopen, first-write-wins
-   dedup, segment rolls, the index snapshot (used / deleted / stale tail
-   replay), recovery rules (torn tail at every byte offset of the last
-   record, checksum corruption), SIGKILL crash injection via the
-   atlas_crash_writer helper executable, verify/compact, locking, and a
-   qcheck randomized round-trip. Serve/census byte-identity with the
-   atlas on vs off lives in test_atlas_identity.ml. *)
+   dedup, segment rolls, recovery rules (torn tail at every byte offset
+   of the last record, checksum corruption, open and verify agreeing on
+   damage), synchronous appends (a fresh open sees every returned add),
+   SIGKILL crash injection via the atlas_crash_writer helper executable,
+   verify/compact, locking, and a qcheck randomized round-trip.
+   Serve/census byte-identity with the atlas on vs off lives in
+   test_atlas_identity.ml. *)
 
 open Test_helpers
 
@@ -50,10 +51,9 @@ let populate dir kvs =
       List.iter (fun (k, v) -> Atlas.add t ~key:k ~value:v) kvs)
 
 let seg0 dir = Filename.concat dir "atlas-000000.seg"
-let snap dir = Filename.concat dir "index.snap"
 
 (* Mirror of the on-disk record framing, for tests that forge raw
-   segment bytes (stale-snapshot tails, duplicate records). *)
+   segment bytes (duplicate records). *)
 let encode_raw ~key ~value =
   let buf = Buffer.create 64 in
   let u32 v =
@@ -164,50 +164,6 @@ let test_oversized_record () =
       check_str_opt "big" (Some big) (Atlas.find t "big");
       check_str_opt "small2" (Some "v2") (Atlas.find t "small2"))
 
-(* ---------- snapshot ---------- *)
-
-let test_snapshot_used () =
-  with_dir "snap" @@ fun dir ->
-  populate dir kvs3;
-  check_true "snapshot written" (Sys.file_exists (snap dir));
-  with_atlas dir (fun t ->
-      check_true "snapshot used" (Atlas.stats t).Atlas.snapshot_used;
-      List.iter
-        (fun (k, v) -> check_str_opt k (Some v) (Atlas.find t k))
-        kvs3);
-  Sys.remove (snap dir);
-  with_atlas dir (fun t ->
-      check_false "full rescan" (Atlas.stats t).Atlas.snapshot_used;
-      List.iter
-        (fun (k, v) -> check_str_opt k (Some v) (Atlas.find t k))
-        kvs3)
-
-let test_snapshot_stale_tail_replay () =
-  with_dir "stale" @@ fun dir ->
-  populate dir kvs3;
-  (* Forge appends beyond the snapshot's covered bytes, as if a writer
-     crashed after the last clean close: open must replay the tail. *)
-  append_raw (seg0 dir) (encode_raw ~key:"tail1" ~value:"T1");
-  append_raw (seg0 dir) (encode_raw ~key:"tail2" ~value:"T2");
-  with_atlas dir (fun t ->
-      check_true "snapshot still used" (Atlas.stats t).Atlas.snapshot_used;
-      List.iter
-        (fun (k, v) -> check_str_opt k (Some v) (Atlas.find t k))
-        kvs3;
-      check_str_opt "tail1" (Some "T1") (Atlas.find t "tail1");
-      check_str_opt "tail2" (Some "T2") (Atlas.find t "tail2"))
-
-let test_snapshot_corrupt_discarded () =
-  with_dir "snapbad" @@ fun dir ->
-  populate dir kvs3;
-  flip_byte (snap dir) ((Unix.stat (snap dir)).Unix.st_size - 3);
-  with_atlas dir (fun t ->
-      check_false "corrupt snapshot discarded"
-        (Atlas.stats t).Atlas.snapshot_used;
-      List.iter
-        (fun (k, v) -> check_str_opt k (Some v) (Atlas.find t k))
-        kvs3)
-
 (* ---------- recovery: torn tails and corruption ---------- *)
 
 let test_torn_tail_every_offset () =
@@ -219,10 +175,8 @@ let test_torn_tail_every_offset () =
     with_dir (Printf.sprintf "torn%d" j) @@ fun dir ->
     populate dir kvs3;
     Unix.truncate (seg0 dir) (boundary + j);
-    (* the stale snapshot now claims more bytes than exist: discarded *)
     with_atlas dir (fun t ->
         let s = Atlas.stats t in
-        check_false "snapshot discarded" s.Atlas.snapshot_used;
         check_int "torn" (if j = 0 then 0 else 1) s.Atlas.torn_records;
         check_str_opt "alpha" (Some "AAAA") (Atlas.find t "alpha");
         check_str_opt "beta" (Some "BBBBBBBB") (Atlas.find t "beta");
@@ -237,7 +191,6 @@ let test_torn_tail_every_offset () =
 let test_corrupt_value_byte () =
   with_dir "corv" @@ fun dir ->
   populate dir kvs3;
-  Sys.remove (snap dir);
   (* flip a byte inside beta's value *)
   flip_byte (seg0 dir) (8 + rec_len "alpha" "AAAA" + 12 + 4 + 2);
   with_atlas dir (fun t ->
@@ -258,13 +211,41 @@ let test_corrupt_value_byte () =
 let test_corrupt_crc_byte () =
   with_dir "corc" @@ fun dir ->
   populate dir kvs3;
-  Sys.remove (snap dir);
   (* flip a byte of beta's stored crc field *)
   flip_byte (seg0 dir) (8 + rec_len "alpha" "AAAA" + 9);
   with_atlas dir (fun t ->
       check_int "corrupt" 1 (Atlas.stats t).Atlas.corrupt_records;
       check_str_opt "beta rejected" None (Atlas.find t "beta");
       check_str_opt "gamma survives" (Some "CCCCCC") (Atlas.find t "gamma"))
+
+(* The segments are the only store: after a clean close, open_ must
+   see the same damage verify does and never serve the damaged key. *)
+let test_reopen_agrees_with_verify () =
+  with_dir "agree" @@ fun dir ->
+  populate dir kvs3;
+  flip_byte (seg0 dir) (8 + rec_len "alpha" "AAAA" + 12 + 4 + 2);
+  let v =
+    match Atlas.verify dir with Ok r -> r | Error m -> Alcotest.fail m
+  in
+  with_atlas dir (fun t ->
+      let s = Atlas.stats t in
+      check_int "corrupt" 1 s.Atlas.corrupt_records;
+      check_int "corrupt = verify" v.Atlas.v_corrupt s.Atlas.corrupt_records;
+      check_int "torn = verify" v.Atlas.v_torn s.Atlas.torn_records;
+      check_int "records = verify live" v.Atlas.v_live s.Atlas.records;
+      check_str_opt "damaged key not served" None (Atlas.find t "beta"))
+
+(* add returns only once its record is in a segment, so a fresh open
+   of the directory sees it without a flush or close. *)
+let test_add_visible_to_fresh_open () =
+  with_dir "sync" @@ fun dir ->
+  with_atlas dir @@ fun t ->
+  for i = 1 to 20 do
+    let key = Printf.sprintf "sync-%02d" i in
+    Atlas.add t ~key ~value:(string_of_int i);
+    with_atlas ~readonly:true dir (fun ro ->
+        check_str_opt key (Some (string_of_int i)) (Atlas.find ro key))
+  done
 
 (* ---------- SIGKILL crash injection ---------- *)
 
@@ -340,7 +321,6 @@ let test_verify_healthy () =
 let test_compact () =
   with_dir "cp" @@ fun dir ->
   populate dir kvs3;
-  Sys.remove (snap dir);
   (* forge a duplicate (first write must win through compaction) and
      corrupt one record (must be dropped) *)
   append_raw (seg0 dir) (encode_raw ~key:"alpha" ~value:"ZZZZ");
@@ -366,6 +346,31 @@ let test_compact () =
       check_str_opt "corrupt beta dropped" None (Atlas.find t "beta");
       check_str_opt "gamma kept" (Some "CCCCCC") (Atlas.find t "gamma"))
 
+(* A short magic is a crash while creating a segment, so only the last
+   segment may have one. verify refuses exactly what open_ refuses. *)
+let test_verify_short_magic () =
+  with_dir "short" @@ fun dir ->
+  let kvs = List.init 6 (fun i -> (Printf.sprintf "k%d" i, String.make 40 'v')) in
+  with_atlas ~max_segment_bytes:64 dir (fun t ->
+      List.iter (fun (k, v) -> Atlas.add t ~key:k ~value:v) kvs;
+      check_int "six segments" 6 (Atlas.stats t).Atlas.segments);
+  let last = Filename.concat dir "atlas-000005.seg" in
+  Unix.truncate last 4;
+  (match Atlas.verify dir with
+  | Ok r -> check_int "short tail magic is a torn tail" 1 r.Atlas.v_torn
+  | Error m -> Alcotest.failf "verify with a short tail magic: %s" m);
+  Unix.truncate (seg0 dir) 4;
+  let open_err =
+    match Atlas.open_ ~readonly:true dir with
+    | Ok t ->
+        Atlas.close t;
+        Alcotest.fail "open_ must refuse a short non-tail magic"
+    | Error m -> m
+  in
+  match Atlas.verify dir with
+  | Ok _ -> Alcotest.fail "verify must refuse a short non-tail magic"
+  | Error m -> check_str "verify's error is open_'s" open_err m
+
 (* ---------- locking / handle misuse ---------- *)
 
 let test_writer_lock () =
@@ -378,9 +383,7 @@ let test_writer_lock () =
           Alcotest.fail "second writer must be rejected"
       | Error _ -> ());
       match Atlas.open_ ~readonly:true dir with
-      | Ok ro ->
-          (* read-only sees the flushed state only after a flush *)
-          Atlas.close ro
+      | Ok ro -> Atlas.close ro
       | Error m -> Alcotest.failf "readonly open: %s" m);
   (* lock released by close *)
   with_atlas dir (fun t -> check_str_opt "k" (Some "v") (Atlas.find t "k"))
@@ -420,22 +423,10 @@ let prop_roundtrip kvs =
     (fun (k, v) -> if not (Hashtbl.mem model k) then Hashtbl.add model k v)
     kvs;
   populate dir kvs;
-  (* exercise both the snapshot path and the rescan path *)
-  let check_all t =
-    Hashtbl.fold
-      (fun k v acc -> acc && Atlas.find t k = Some v)
-      model true
-    && Atlas.find t "\x00never-a-key\x01" = None
-    && (Atlas.stats t).Atlas.records = Hashtbl.length model
-  in
-  let t1 = open_exn ~max_segment_bytes:256 dir in
-  let ok1 = check_all t1 in
-  Atlas.close t1;
-  Sys.remove (snap dir);
-  let t2 = open_exn dir in
-  let ok2 = check_all t2 in
-  Atlas.close t2;
-  ok1 && ok2
+  with_atlas dir @@ fun t ->
+  Hashtbl.fold (fun k v acc -> acc && Atlas.find t k = Some v) model true
+  && Atlas.find t "\x00never-a-key\x01" = None
+  && (Atlas.stats t).Atlas.records = Hashtbl.length model
 
 let suite =
   [
@@ -444,16 +435,19 @@ let suite =
     case "first write wins (session and disk)" test_first_write_wins;
     case "segment roll at max_segment_bytes" test_segment_roll;
     case "oversized record gets its own segment" test_oversized_record;
-    case "snapshot used on reopen, rescan without" test_snapshot_used;
-    case "stale snapshot replays appended tail" test_snapshot_stale_tail_replay;
-    case "corrupt snapshot discarded" test_snapshot_corrupt_discarded;
     case "torn tail at every byte offset of last record"
       test_torn_tail_every_offset;
     case "corrupt value byte: skipped, scan continues" test_corrupt_value_byte;
     case "corrupt crc byte: skipped" test_corrupt_crc_byte;
+    case "reopen after clean close agrees with verify"
+      test_reopen_agrees_with_verify;
+    case "add is visible to a fresh read-only open"
+      test_add_visible_to_fresh_open;
     case "SIGKILL mid-append: contiguous prefix recovered"
       test_sigkill_mid_append;
     case "verify: healthy directory" test_verify_healthy;
+    case "verify: short magic only on the last segment"
+      test_verify_short_magic;
     case "compact: drops duplicates and corrupt records" test_compact;
     case "writer lock excludes second writer" test_writer_lock;
     case "read-only add raises" test_readonly_add_raises;
