@@ -1,6 +1,6 @@
 # Convenience targets; the source of truth is dune.
 
-.PHONY: all build test bench bench-ab census-dist scale-smoke verify clean
+.PHONY: all build test bench-ab census-dist scale-smoke verify clean
 
 all: build
 
@@ -9,9 +9,6 @@ build:
 
 test:
 	dune runtest
-
-bench:
-	dune exec bench/main.exe
 
 # Perf gate: the bench/e2e benchmark (BENCHMARK.json) on commit BASE
 # (a temporary worktree) and on this checkout, seeds 1-5, alternating

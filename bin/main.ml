@@ -54,7 +54,12 @@ let with_jobs jobs f =
     Pool.with_pool ~jobs f
   end
 
-let decode_graph = Graph6.decode_result
+(* the 0-vertex graph decodes, but it has no agents to check, no
+   metrics and no lemmas to audit *)
+let decode_graph g6 =
+  match Graph6.decode_result g6 with
+  | Ok g when Graph.n g = 0 -> Error "graph6: the empty graph has no agents"
+  | r -> r
 
 (* "unix:PATH" or "tcp:HOST:PORT"; the shared address syntax of
    bncg serve --listen, bncg call --addr and bncg census --workers *)

@@ -51,226 +51,185 @@ let refine g =
   done;
   !color
 
-(* --- canonical form --------------------------------------------------- *)
+(* --- the search ---------------------------------------------------------- *)
 
 let check_cap g =
   if Graph.n g > max_search_vertices then
     invalid_arg "Canon: graph exceeds max_search_vertices"
-
-(* Canonical form: the lexicographically minimal adjacency bitstring over
-   all color-class-respecting vertex orders.  Bits are emitted in
-   column-major order (x_{0,1}; x_{0,2}, x_{1,2}; x_{0,3}, ...) so that
-   placing the vertex at position [v] fixes exactly the next [v] bits —
-   which lets the backtracking search prune any branch whose partial
-   string already exceeds the best one found.  Without the pruning,
-   vertex-transitive graphs (single color class) would cost n! full
-   evaluations. *)
-let canonical_form g =
-  check_cap g;
-  let n = Graph.n g in
-  if n = 0 then ""
-  else begin
-    let color = refine g in
-    (* position i must receive a vertex of the i-th smallest color *)
-    let target =
-      let sorted = Array.copy color in
-      Array.sort compare sorted;
-      sorted
-    in
-    let total_bits = n * (n - 1) / 2 in
-    let buf = Bytes.create total_bits in
-    let best = ref (Bytes.make total_bits '1') in
-    let have_best = ref false in
-    let perm = Array.make n (-1) in
-    let used = Array.make n false in
-    (* offset of column v's first bit *)
-    let col_off v = v * (v - 1) / 2 in
-    (* [go v lt] explores positions v.. with [lt] = "the buffer's prefix is
-       strictly below the incumbent's".  Returns true when the subtree
-       replaced the incumbent — in that case the caller's prefix equals the
-       new incumbent's prefix, so its own [lt] state must reset to
-       "equal". *)
-    let rec go v lt =
-      if v = n then begin
-        if lt || not !have_best then begin
-          Bytes.blit buf 0 !best 0 total_bits;
-          have_best := true;
-          true
-        end
-        else false
-      end
-      else begin
-        let updated = ref false in
-        let lt_state = ref lt in
-        for candidate = 0 to n - 1 do
-          if (not used.(candidate)) && color.(candidate) = target.(v) then begin
-            let off = col_off v in
-            for j = 0 to v - 1 do
-              Bytes.set buf (off + j)
-                (if Graph.mem_edge g perm.(j) candidate then '1' else '0')
-            done;
-            (* compare this column against the incumbent *)
-            let verdict =
-              if !lt_state || not !have_best then -1
-              else begin
-                let rec cmp j =
-                  if j >= v then 0
-                  else begin
-                    let c =
-                      Char.compare (Bytes.get buf (off + j)) (Bytes.get !best (off + j))
-                    in
-                    if c <> 0 then c else cmp (j + 1)
-                  end
-                in
-                cmp 0
-              end
-            in
-            if verdict <= 0 then begin
-              used.(candidate) <- true;
-              perm.(v) <- candidate;
-              if go (v + 1) (!lt_state || verdict < 0) then begin
-                (* incumbent replaced along this path: our prefix now ties *)
-                lt_state := false;
-                updated := true
-              end;
-              used.(candidate) <- false;
-              perm.(v) <- -1
-            end
-          end
-        done;
-        !updated
-      end
-    in
-    ignore (go 0 false);
-    Printf.sprintf "%d:%s" n (Bytes.to_string !best)
-  end
-
-(* --- certificate with labeling, group order and position orbits -------- *)
 
 type cert = {
   form : string;
   perm : int array;
   aut_count : int;
   position_vertices : int array;
+  generators : int array list;
 }
 
-let rec factorial n = if n <= 1 then 1 else n * factorial (n - 1)
+let m_nodes = Telemetry.counter "canon.nodes"
 
-(* Complete graphs are the worst case for the search below (a single
-   color class, every branch ties, n! optimal leaves), and the orderly
-   census hits K_n at every level — so they get a closed form. *)
-let complete_cert n =
-  let total_bits = n * (n - 1) / 2 in
-  {
-    form = Printf.sprintf "%d:%s" n (String.make total_bits '1');
-    perm = Array.init n Fun.id;
-    aut_count = factorial n;
-    position_vertices = Array.make n ((1 lsl n) - 1);
-  }
+(* the orbit of [v] under the group generated by [gens], as a bitmask *)
+let orbit gens v =
+  let rec visit mask x =
+    List.fold_left
+      (fun mask sigma ->
+        let y = sigma.(x) in
+        if mask land (1 lsl y) <> 0 then mask else visit (mask lor (1 lsl y)) y)
+      mask gens
+  in
+  visit (1 lsl v) v
 
-(* Same search as [canonical_form], extended with the three facts the
-   orderly census needs and that only the search can provide: one optimal
-   labeling, the number of optimal leaves, and for each canonical
-   position the set of vertices some optimal labeling places there.
-   Two labelings produce the same minimal string iff they differ by an
-   automorphism, so the optimal-leaf count IS |Aut(g)| and the vertex
-   set at position [p] IS the automorphism orbit of the vertex any
-   optimal labeling puts at [p]. *)
+(* string order of two columns: the lowest differing bit decides, and a
+   clear bit ('0') is the smaller *)
+let compare_columns a b =
+  let d = a lxor b in
+  if d = 0 then 0 else if a land d land -d = 0 then -1 else 1
+
+(* The canonical form is the lexicographically least adjacency bitstring
+   over all color-class-respecting vertex orders. Bits are column-major
+   (x_{0,1}; x_{0,2}, x_{1,2}; x_{0,3}, ...), so placing the vertex at
+   position [v] fixes exactly column [v], held as an int whose bit [j]
+   says "adjacent to the vertex at position [j]". Candidates are tried
+   in ascending order and a branch is cut once its prefix exceeds the
+   incumbent's, so [perm] is the first optimal leaf in candidate order.
+
+   A leaf that ties the incumbent yields the automorphism σ with
+   σ(best_perm.(p)) = perm.(p); it fixes the prefix the two leaves
+   share. The search keeps σ and prunes with it twice, each time
+   skipping only the image of a subtree already searched, which holds
+   no optimal leaf earlier than its preimage — so [perm] is unchanged:
+   - it returns to the depth where the leaf left the incumbent's path;
+   - at every node it skips a candidate in the orbit of a tried sibling
+     under the kept automorphisms that fix the node's prefix.
+   After [perm] is found, each node on its path tries the rest of the
+   stabilizer orbit of [perm]'s own child: every such candidate either
+   reaches a tying leaf, whose σ joins it to that orbit, or is skipped
+   as the image of a sibling already joined. So at every depth the kept
+   automorphisms fixing [perm]'s prefix have the full stabilizer's
+   orbit: |Aut| is the product of those orbit sizes (orbit–stabilizer),
+   and the kept set generates Aut. *)
 let cert g =
   check_cap g;
   let n = Graph.n g in
-  if n = 0 then
-    { form = ""; perm = [||]; aut_count = 1; position_vertices = [||] }
-  else if Graph.m g = n * (n - 1) / 2 then complete_cert n
+  if n = 0 then { form = ""; perm = [||]; aut_count = 1; position_vertices = [||]; generators = [] }
   else begin
-    let color = refine g in
-    let target =
-      let sorted = Array.copy color in
-      Array.sort compare sorted;
-      sorted
-    in
-    let total_bits = n * (n - 1) / 2 in
-    let buf = Bytes.create total_bits in
-    let best = ref (Bytes.make total_bits '1') in
+    let adj = Array.init n (Graph.fold_neighbors (fun m w -> m lor (1 lsl w)) 0 g) in
+    (* [cells.(p)]: the color class position p draws from. Position p gets
+       the p-th smallest color, so the classes (colors lie in [0, n)) take
+       consecutive positions in color order. *)
+    let cells = Array.make n 0 in
+    let classes = Array.make n 0 in
+    Array.iteri (fun x c -> classes.(c) <- classes.(c) lor (1 lsl x)) (refine g);
+    let p = ref 0 in
+    Array.iter
+      (fun cls ->
+        for _ = 1 to Bitset.popcount cls do
+          cells.(!p) <- cls;
+          incr p
+        done)
+      classes;
+    (* [col.(x)]: the column vertex [x] would get at the current depth *)
+    let col = Array.make n 0 in
+    let perm = Array.make n (-1) and column = Array.make n 0 in
+    let best_perm = Array.make n (-1) and best = Array.make n 0 in
     let have_best = ref false in
-    let perm = Array.make n (-1) in
-    let used = Array.make n false in
-    let best_perm = Array.make n (-1) in
-    let leaves = ref 0 in
-    let seen = Array.make n 0 in
-    let record_leaf () =
-      incr leaves;
-      for p = 0 to n - 1 do
-        seen.(p) <- seen.(p) lor (1 lsl perm.(p))
+    (* kept automorphisms, each with the mask of the vertices it fixes *)
+    let gens = ref [] in
+    let fixing placed =
+      List.filter_map (fun (s, fixed) -> if fixed land placed = placed then Some s else None) !gens
+    in
+    (* a tying leaf sets this to the depth the search returns to *)
+    let unwind = ref n and nodes = ref 0 in
+    let toggle v x =
+      let m = ref adj.(x) and w = ref 0 in
+      while !m <> 0 do
+        if !m land 1 <> 0 then col.(!w) <- col.(!w) lxor (1 lsl v);
+        m := !m lsr 1;
+        incr w
       done
     in
-    let col_off v = v * (v - 1) / 2 in
-    let rec go v lt =
+    (* [go v placed lt] places positions v.. with [lt] = "the prefix is
+       strictly below the incumbent's". Returns true when the subtree
+       replaced the incumbent — the caller's prefix then equals the new
+       incumbent's, so its own [lt] resets. *)
+    let rec go v placed lt =
+      incr nodes;
       if v = n then begin
         if lt || not !have_best then begin
-          Bytes.blit buf 0 !best 0 total_bits;
-          have_best := true;
           Array.blit perm 0 best_perm 0 n;
-          leaves := 0;
-          Array.fill seen 0 n 0;
-          record_leaf ();
+          Array.blit column 0 best 0 n;
+          have_best := true;
           true
         end
         else begin
-          (* equal prefix all the way down: the full string ties the
-             incumbent, i.e. this labeling is optimal too *)
-          record_leaf ();
+          let sigma = Array.make n 0 and fixed = ref 0 in
+          Array.iteri (fun p w -> sigma.(w) <- perm.(p)) best_perm;
+          Array.iteri (fun w x -> if w = x then fixed := !fixed lor (1 lsl w)) sigma;
+          gens := (sigma, !fixed) :: !gens;
+          let e = ref 0 in
+          while perm.(!e) = best_perm.(!e) do
+            incr e
+          done;
+          unwind := !e;
           false
         end
       end
       else begin
-        let updated = ref false in
-        let lt_state = ref lt in
-        for candidate = 0 to n - 1 do
-          if (not used.(candidate)) && color.(candidate) = target.(v) then begin
-            let off = col_off v in
-            for j = 0 to v - 1 do
-              Bytes.set buf (off + j)
-                (if Graph.mem_edge g perm.(j) candidate then '1' else '0')
-            done;
+        let updated = ref false and lt = ref lt and tried = ref 0 in
+        (* the unplaced vertices of position v's class, shifted down past x *)
+        let free = ref (cells.(v) land lnot placed) and x = ref 0 in
+        while !free <> 0 && !unwind > v do
+          let c = !x in
+          if !free land 1 <> 0 then begin
             let verdict =
-              if !lt_state || not !have_best then -1
-              else begin
-                let rec cmp j =
-                  if j >= v then 0
-                  else begin
-                    let c =
-                      Char.compare (Bytes.get buf (off + j)) (Bytes.get !best (off + j))
-                    in
-                    if c <> 0 then c else cmp (j + 1)
-                  end
-                in
-                cmp 0
-              end
+              if !lt || not !have_best then -1 else compare_columns col.(c) best.(v)
             in
-            if verdict <= 0 then begin
-              used.(candidate) <- true;
-              perm.(v) <- candidate;
-              if go (v + 1) (!lt_state || verdict < 0) then begin
-                lt_state := false;
+            if
+              verdict <= 0
+              && (match !gens with [] -> true | _ -> orbit (fixing placed) c land !tried = 0)
+            then begin
+              tried := !tried lor (1 lsl c);
+              perm.(v) <- c;
+              column.(v) <- col.(c);
+              toggle v c;
+              if go (v + 1) (placed lor (1 lsl c)) (!lt || verdict < 0) then begin
+                lt := false;
                 updated := true
               end;
-              used.(candidate) <- false;
-              perm.(v) <- -1
+              toggle v c;
+              if !unwind = v then unwind := n
             end
-          end
+          end;
+          free := !free lsr 1;
+          incr x
         done;
         !updated
       end
     in
-    ignore (go 0 false);
+    ignore (go 0 0 false);
+    Telemetry.add m_nodes !nodes;
+    let bits = Bytes.create (n * (n - 1) / 2) in
+    for v = 1 to n - 1 do
+      for j = 0 to v - 1 do
+        Bytes.set bits ((v * (v - 1) / 2) + j) (if best.(v) land (1 lsl j) <> 0 then '1' else '0')
+      done
+    done;
+    let aut_count = ref 1 and placed = ref 0 in
+    Array.iter
+      (fun v ->
+        aut_count := !aut_count * Bitset.popcount (orbit (fixing !placed) v);
+        placed := !placed lor (1 lsl v))
+      best_perm;
+    let generators = List.rev_map fst !gens in
     {
-      form = Printf.sprintf "%d:%s" n (Bytes.to_string !best);
+      form = string_of_int n ^ ":" ^ Bytes.unsafe_to_string bits;
       perm = best_perm;
-      aut_count = !leaves;
-      position_vertices = seen;
+      aut_count = !aut_count;
+      position_vertices = Array.map (orbit generators) best_perm;
+      generators;
     }
   end
+
+let canonical_form g = (cert g).form
 
 let isomorphic a b =
   Graph.n a = Graph.n b
@@ -282,98 +241,23 @@ let isomorphic a b =
   Stats.histogram (refine a) = Stats.histogram (refine b)
   && canonical_form a = canonical_form b
 
-(* --- automorphisms ---------------------------------------------------- *)
-
-let automorphisms g =
-  check_cap g;
-  let n = Graph.n g in
-  let color = refine g in
-  let image = Array.make n (-1) in
-  let used = Array.make n false in
-  let out = ref [] in
-  (* assign image.(v) for v = 0, 1, ...; candidate w must share v's refined
-     color and match adjacency against all previously assigned vertices *)
-  let consistent v w =
-    let ok = ref true in
-    for u = 0 to v - 1 do
-      if Graph.mem_edge g u v <> Graph.mem_edge g image.(u) w then ok := false
-    done;
-    !ok
-  in
-  let rec go v =
-    if v = n then out := Array.copy image :: !out
-    else
-      for w = 0 to n - 1 do
-        if (not used.(w)) && color.(w) = color.(v) && consistent v w then begin
-          used.(w) <- true;
-          image.(v) <- w;
-          go (v + 1);
-          used.(w) <- false;
-          image.(v) <- -1
-        end
-      done
-  in
-  go 0;
-  !out
-
-let automorphism_count g = List.length (automorphisms g)
-
-exception Over_cap
-
-(* [automorphisms] with an escape hatch: highly symmetric graphs (K_k
-   and friends) have groups far too large to materialize, and callers
-   that only use the list to orbit-partition a small set can fall back
-   to something else when the group is huge. *)
-let automorphisms_capped ~cap g =
-  check_cap g;
-  let n = Graph.n g in
-  let color = refine g in
-  let image = Array.make n (-1) in
-  let used = Array.make n false in
-  let out = ref [] in
-  let count = ref 0 in
-  let consistent v w =
-    let ok = ref true in
-    for u = 0 to v - 1 do
-      if Graph.mem_edge g u v <> Graph.mem_edge g image.(u) w then ok := false
-    done;
-    !ok
-  in
-  let rec go v =
-    if v = n then begin
-      incr count;
-      if !count > cap then raise Over_cap;
-      out := Array.copy image :: !out
-    end
-    else
-      for w = 0 to n - 1 do
-        if (not used.(w)) && color.(w) = color.(v) && consistent v w then begin
-          used.(w) <- true;
-          image.(v) <- w;
-          go (v + 1);
-          used.(w) <- false;
-          image.(v) <- -1
-        end
-      done
-  in
-  match go 0 with () -> Some !out | exception Over_cap -> None
+let automorphism_count g = (cert g).aut_count
 
 let orbits g =
-  let n = Graph.n g in
-  let uf = Union_find.create n in
-  List.iter
-    (fun sigma ->
-      Array.iteri (fun v w -> ignore (Union_find.union uf v w)) sigma)
-    (automorphisms g);
+  let c = cert g in
+  let n = Array.length c.perm in
+  let orbit = Array.make n 0 in
+  Array.iteri (fun p v -> orbit.(v) <- c.position_vertices.(p)) c.perm;
+  (* number the orbits by their least vertex *)
   let label = Array.make n (-1) in
   let next = ref 0 in
   for v = 0 to n - 1 do
-    let r = Union_find.find uf v in
-    if label.(r) < 0 then begin
-      label.(r) <- !next;
+    if label.(v) < 0 then begin
+      for w = v to n - 1 do
+        if orbit.(v) land (1 lsl w) <> 0 then label.(w) <- !next
+      done;
       incr next
-    end;
-    label.(v) <- label.(r)
+    end
   done;
   label
 

@@ -38,11 +38,6 @@ let m_rejected = Telemetry.counter "census.orderly.rejected"
 
 let m_extensions = Telemetry.counter "census.orderly.extensions"
 
-(* Parent groups beyond this order are not materialized; the extension
-   step falls back to deduplicating accepted children by canonical form,
-   which picks the same orbit-minimum subset (see [extend]). *)
-let aut_list_cap = 720
-
 let apply_mask sigma mask =
   let out = ref 0 in
   let m = ref mask in
@@ -85,49 +80,30 @@ let accepts h cert =
 
 (* Extend [g] (with its certificate) from [k = Graph.n g] vertices up to
    [target], depth-first, calling [f] on every accepted graph at level
-   [target]. Subset masks are tried in ascending order and only as their
-   Aut(parent)-orbit minimum, so the representative labeling and the
-   emission order are deterministic. When the parent group exceeds
-   [aut_list_cap] we instead try every mask and deduplicate the accepted
-   children by canonical form: acceptance is constant on a subset orbit
-   and accepted children of one parent from distinct orbits are never
-   isomorphic, so the first accepted mask of each class is again the
-   orbit minimum — the two paths emit identical graphs in identical
-   order. *)
+   [target]. Subset masks are tried in ascending order and only as the
+   least of their Aut(parent)-orbit — union–find over the 2^k masks with
+   the certificate's generators, which generate the group — so the
+   representative labeling and the emission order are deterministic. *)
 let rec extend g cert target f =
   let k = Graph.n g in
   if k = target then f g cert
   else begin
-    let auts = Canon.automorphisms_capped ~cap:aut_list_cap g in
-    let orbit_min =
-      match auts with
-      | Some sigmas ->
-        fun mask -> List.for_all (fun s -> apply_mask s mask >= mask) sigmas
-      | None -> fun _ -> true
-    in
-    let seen_fallback =
-      match auts with None -> Some (Hashtbl.create 16) | Some _ -> None
-    in
+    let orbits = Union_find.create (1 lsl k) in
+    List.iter
+      (fun sigma ->
+        for mask = 1 to (1 lsl k) - 1 do
+          ignore (Union_find.union orbits mask (apply_mask sigma mask))
+        done)
+      cert.Canon.generators;
+    let tried = Array.make (1 lsl k) false in
     for mask = 1 to (1 lsl k) - 1 do
-      if orbit_min mask then begin
+      let orbit = Union_find.find orbits mask in
+      if not tried.(orbit) then begin
+        tried.(orbit) <- true;
         Telemetry.incr m_extensions;
         let h = child_of g k mask in
         let child_cert = Canon.cert h in
-        (* fallback dedup runs on ACCEPTED children only: isomorphic
-           children of one parent built from distinct subset orbits get
-           different acceptance verdicts, so a rejected early copy must
-           not shadow the accepted one *)
-        let fresh () =
-          match seen_fallback with
-          | None -> true
-          | Some tbl ->
-            if Hashtbl.mem tbl child_cert.Canon.form then false
-            else begin
-              Hashtbl.add tbl child_cert.Canon.form ();
-              true
-            end
-        in
-        if accepts h child_cert && fresh () then begin
+        if accepts h child_cert then begin
           Telemetry.incr m_generated;
           extend h child_cert target f
         end
@@ -187,10 +163,6 @@ let graph_of_mask n mask =
   done;
   g
 
-let popcount x =
-  let rec go x c = if x = 0 then c else go (x land (x - 1)) (c + 1) in
-  go x 0
-
 (* Branch and bound over positions n-1 down to 0. Column v of the mask
    (bits v(v-1)/2 .. v(v-1)/2 + v - 1) outweighs every lower column, so
    the vertex at v and its column are settled before anything below v.
@@ -216,8 +188,8 @@ let min_mask_graph g =
   let rec column hi y = function
     | [] -> 0
     | c :: cells ->
-      let lo = hi - popcount c in
-      (((1 lsl popcount (adj.(y) land c)) - 1) lsl lo) lor column lo y cells
+      let lo = hi - Bitset.popcount c in
+      (((1 lsl Bitset.popcount (adj.(y) land c)) - 1) lsl lo) lor column lo y cells
   in
   let split nb cells =
     List.concat_map

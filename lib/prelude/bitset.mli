@@ -23,6 +23,9 @@ val clear : t -> unit
 val cardinal : t -> int
 (** Population count; O(capacity / 63). *)
 
+val popcount : int -> int
+(** Set bits of one int (a nonnegative word or vertex mask). *)
+
 val iter : (int -> unit) -> t -> unit
 (** Visit members in increasing order. *)
 

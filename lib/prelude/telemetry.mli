@@ -12,8 +12,9 @@
     that flag and returns immediately when telemetry is off: no allocation,
     no atomic traffic, no clock syscall — just a load and a conditional
     branch. Hot paths may therefore stay instrumented unconditionally; the
-    disabled-mode overhead is within benchmark noise (the repo gate is a
-    <= 2% regression on the equilibrium-check and census benchmarks).
+    disabled-mode overhead is within benchmark noise. bench/e2e measures
+    the enabled-mode cost as its [trace_overhead] row (traced over untraced
+    median), and [make bench-ab] gates the untraced end-to-end rows.
 
     {b Domain safety.} Metric cells are [Atomic.t] ints; increments from
     concurrent {!Pool.parallel_for} callbacks lose no counts. Metric

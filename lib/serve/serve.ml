@@ -119,8 +119,7 @@ type t = {
   pool_lock : Mutex.t;
   cache : string Lru_sharded.t;
   (* memo of graph6 text -> canonical form: canonicalization is the
-     expensive part of a canonical-cache probe (highly symmetric graphs
-     backtrack over large automorphism groups), so repeated texts must
+     expensive part of a canonical-cache probe, so repeated texts must
      not pay it twice *)
   canon : string Lru_sharded.t;
   (* disk-backed warm-start tier (shared with census runs via the CLI);

@@ -52,14 +52,14 @@ let test_automorphism_counts () =
   check_int "star K1,3 leaf permutations" 6 (Canon.automorphism_count (Generators.star 4));
   check_int "Petersen" 120 (Canon.automorphism_count (Generators.petersen ()))
 
-let test_automorphisms_are_automorphisms () =
+let test_generators_are_automorphisms () =
   let g = Generators.cycle 6 in
   List.iter
     (fun sigma ->
       Graph.iter_edges
         (fun u v -> check_true "edge preserved" (Graph.mem_edge g sigma.(u) sigma.(v)))
         g)
-    (Canon.automorphisms g)
+    (Canon.cert g).Canon.generators
 
 let test_orbits () =
   let g = Generators.double_star 2 2 in
@@ -101,6 +101,113 @@ let test_edge_toggle_breaks_isomorphism =
         not (Canon.isomorphic g h)
       | [] -> true)
 
+(* --- the search against its oracle ----------------------------------------- *)
+
+let check_int_array = Alcotest.(check (array int))
+
+(* every field the oracle has, on [g] as given *)
+let check_against_oracle what g =
+  let c = Canon.cert g and o = Canon_oracle.cert g in
+  let label field = Printf.sprintf "%s %S: %s" what (Graph6.encode g) field in
+  Alcotest.(check string) (label "form") o.Canon_oracle.form c.Canon.form;
+  check_int_array (label "perm") o.Canon_oracle.perm c.Canon.perm;
+  check_int (label "aut_count") o.Canon_oracle.aut_count c.Canon.aut_count;
+  check_int_array (label "position_vertices") o.Canon_oracle.position_vertices
+    c.Canon.position_vertices
+
+(* every connected class on [n] vertices, as generated and randomly
+   relabeled *)
+let check_oracle_classes n =
+  let rng = Prng.create n in
+  Orderly.iter n (fun g _ ->
+      let perm = Array.init n Fun.id in
+      Prng.shuffle_in_place rng perm;
+      check_against_oracle "class" g;
+      check_against_oracle "relabeled class" (relabel g perm))
+
+let test_oracle_small () =
+  for n = 1 to 7 do
+    check_oracle_classes n
+  done
+
+let test_oracle_n8 () = check_oracle_classes 8
+
+let rec factorial n = if n <= 1 then 1 else n * factorial (n - 1)
+
+(* Symmetric families up to 16 vertices with their closed-form |Aut|,
+   each with a random relabeling. *)
+let families =
+  let range lo hi = List.init (hi - lo + 1) (fun i -> lo + i) in
+  let rng = Prng.create 16 in
+  let relabeled g =
+    let perm = Array.init (Graph.n g) Fun.id in
+    Prng.shuffle_in_place rng perm;
+    relabel g perm
+  in
+  List.map
+    (fun (name, g, aut) -> (name, g, relabeled g, aut))
+    (List.concat
+       [
+         List.map (fun n -> (Printf.sprintf "star %d" n, Generators.star n, factorial (n - 1))) (range 3 16);
+         List.map (fun k -> (Printf.sprintf "wheel %d" k, Generators.wheel k, 2 * k)) (range 4 15);
+         List.concat_map
+           (fun a ->
+             List.map
+               (fun b ->
+                 ( Printf.sprintf "K_{%d,%d}" a b,
+                   Generators.complete_bipartite a b,
+                   factorial a * factorial b * if a = b then 2 else 1 ))
+               (range a (16 - a)))
+           (range 2 8);
+         List.map
+           (fun k ->
+             (Printf.sprintf "friendship %d" k, Generators.friendship k, (1 lsl k) * factorial k))
+           (range 2 7);
+         List.map
+           (fun k ->
+             ( Printf.sprintf "cocktail party %d" k,
+               Generators.cocktail_party k,
+               (1 lsl k) * factorial k ))
+           (range 2 8);
+         List.map (fun n -> (Printf.sprintf "K%d" n, Generators.complete n, factorial n)) (range 1 16);
+       ])
+
+let test_families_closed_form () =
+  List.iter
+    (fun (name, g, h, aut) ->
+      let c = Canon.cert g in
+      check_int (name ^ ": |Aut|") aut c.Canon.aut_count;
+      check_int (name ^ " relabeled: |Aut|") aut (Canon.cert h).Canon.aut_count;
+      Alcotest.(check string) (name ^ " relabeled: form") c.Canon.form (Canon.canonical_form h))
+    families
+
+(* The oracle visits at least |Aut| leaves: 9! of them take it about
+   0.3 s on a 2-core VM, and the costliest member below that bound (the
+   15-rim wheel) about 0.6 s. *)
+let test_families_oracle () =
+  List.iter
+    (fun (name, _, h, aut) -> if aut <= factorial 9 then check_against_oracle name h)
+    families
+
+(* The search is counted, not timed: one [canon.nodes] tick per node.
+   Without automorphism pruning a 16-vertex star needs 15! leaves. *)
+let canon_nodes = Telemetry.counter "canon.nodes"
+
+let search_nodes g =
+  let was = Telemetry.enabled () in
+  Telemetry.set_enabled true;
+  let before = Telemetry.counter_value canon_nodes in
+  ignore (Canon.cert g);
+  let nodes = Telemetry.counter_value canon_nodes - before in
+  Telemetry.set_enabled was;
+  nodes
+
+let test_symmetric_node_counts () =
+  let perm = Array.init 16 (fun v -> ((v * 7) + 3) mod 16) in
+  let star = relabel (Generators.star 16) perm in
+  check_true "relabeled star 16: <= 256 nodes" (search_nodes star <= 256);
+  check_true "K16: <= 256 nodes" (search_nodes (Generators.complete 16) <= 256)
+
 let suite =
   [
     case "refine splits degrees" test_refine_splits_degrees;
@@ -110,10 +217,15 @@ let suite =
     case "non-isomorphic (same degrees)" test_not_isomorphic_subtle;
     case "canonical form equality" test_canonical_form_equal_iff_isomorphic;
     case "automorphism counts" test_automorphism_counts;
-    case "automorphisms preserve edges" test_automorphisms_are_automorphisms;
+    case "automorphisms preserve edges" test_generators_are_automorphisms;
     case "orbits" test_orbits;
     case "vertex transitivity" test_vertex_transitive;
     case "size cap" test_size_cap;
     test_isomorphic_random_relabel;
     test_edge_toggle_breaks_isomorphism;
+    case "cert = oracle on every class (n <= 7), relabeled too" test_oracle_small;
+    slow_case "cert = oracle on every class (n = 8), relabeled too" test_oracle_n8;
+    case "symmetric families: closed-form |Aut|, one form per class" test_families_closed_form;
+    slow_case "symmetric families = oracle below 9! automorphisms" test_families_oracle;
+    case "16-vertex star and K16 in few search nodes" test_symmetric_node_counts;
   ]

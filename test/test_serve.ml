@@ -523,6 +523,29 @@ let test_e2e_violation_not_canonically_cached () =
         (Serve.call c (check_request ~id "sum" g)))
     [ p5; relabeled; p5 ]
 
+let test_e2e_star16 () =
+  (* the 16-vertex star, the paper's Theorem 1 equilibrium, has 15!
+     automorphisms; every sum/max check of it pays a canonical form *)
+  let sock = temp_sock "star16" in
+  let srv = Serve.start (e2e_config sock) in
+  Fun.protect ~finally:(fun () -> Serve.stop srv) @@ fun () ->
+  Serve.with_client (Serve.Unix_sock sock) @@ fun c ->
+  let star = Generators.star 16 in
+  let relabeled = relabel star (Array.init 16 (fun v -> ((v * 7) + 3) mod 16)) in
+  List.iteri
+    (fun i (game, version, g) ->
+      let id = i + 1 in
+      check_str
+        (Printf.sprintf "star 16 check %d" id)
+        (expected_check ~id version g)
+        (Serve.call c (check_request ~id game g)))
+    [
+      ("sum", Game.Sum, star);
+      ("sum", Game.Sum, relabeled);
+      ("max", Game.Max, star);
+      ("max", Game.Max, relabeled);
+    ]
+
 let test_e2e_pipelining_in_order () =
   (* N mixed requests written as one batch before any reply is read:
      the replies must come back 1:1 in request order, byte-identical to
@@ -705,4 +728,5 @@ let suite =
     case "e2e: slow consumer does not stall others" test_e2e_backpressure_slow_consumer;
     case "e2e: pipelined batch crosses write high water" test_e2e_pipeline_crosses_high_water;
     case "e2e: stats reports event-loop telemetry" test_e2e_stats_evloop;
+    case "e2e: 16-vertex star, as given and relabeled" test_e2e_star16;
   ]
