@@ -29,8 +29,9 @@
    Workload classes, round-robin by request index:
      check-star    sum-check of a star on 9 vertices with a rotating
                    center — 9 distinct graph6 strings, one canonical
-                   form, so after 9 misses this class is all canonical
-                   cache hits
+                   form: one miss, then each other text's first send is
+                   a canonical cache hit and every repeat an exact-key
+                   hit
      check-torus   max-check of the 3x3 torus, identical bytes every
                    time — exact-key cache hits
      check-legacy  the same torus max-check spelled the pre-registry

@@ -710,6 +710,9 @@ let hunt n target_diameter steps seed game stats stats_json =
       (Game.to_string game) target_diameter n;
     Printf.printf "graph6: %s\n" (Graph6.encode g);
     graph_summary g
+  | None when r.Hunt.best_violations < 0 ->
+    Printf.printf "not found (no candidate reached diameter %d; %d candidates scored)\n"
+      target_diameter r.Hunt.evaluated
   | None ->
     Printf.printf
       "not found (best candidate at target diameter had %d violating agents; %d candidates scored)\n"
@@ -761,8 +764,8 @@ let audit_cmd =
 
 let address_conv = Arg.conv (parse_address, Serve.pp_address)
 
-let serve listen jobs workers cache shards max_bytes max_vertices slice timeout
-    atlas stats stats_json =
+let serve listen jobs workers cache max_bytes max_vertices slice timeout atlas
+    stats stats_json =
   if listen = [] then
     `Error (false, "at least one --listen address is required")
   else
@@ -773,7 +776,6 @@ let serve listen jobs workers cache shards max_bytes max_vertices slice timeout
         jobs;
         workers;
         cache_capacity = cache;
-        cache_shards = shards;
         max_request_bytes = max_bytes;
         max_graph_vertices = max_vertices;
         census_slice = slice;
@@ -816,13 +818,6 @@ let serve_cmd =
       & opt int Serve.default_config.Serve.cache_capacity
       & info [ "cache" ] ~docv:"N" ~doc:"Result-cache capacity (entries).")
   in
-  let shards =
-    Arg.(
-      value
-      & opt int Serve.default_config.Serve.cache_shards
-      & info [ "cache-shards" ] ~docv:"N"
-          ~doc:"Result-cache shard count (0 = default).")
-  in
   let max_bytes =
     Arg.(
       value
@@ -862,7 +857,7 @@ let serve_cmd =
        ~doc:"Run the batching RPC server (newline-delimited JSON over unix/tcp sockets)")
     Term.(
       ret
-        (const serve $ listen $ jobs_arg $ workers $ cache $ shards $ max_bytes
+        (const serve $ listen $ jobs_arg $ workers $ cache $ max_bytes
        $ max_vertices $ slice $ timeout $ atlas $ stats_arg $ stats_json_arg))
 
 let call addr timeout meth game g6 kind n lo hi raw =

@@ -128,11 +128,15 @@ let run rng cfg =
   while !found = None && !restart < cfg.restarts do
     Telemetry.incr m_restarts;
     (* seed state: a random connected graph with a longish backbone so the
-       diameter constraint starts nearly satisfied *)
+       diameter constraint starts nearly satisfied. The edge count is
+       capped after the draw, so the stream is the same at every n; the
+       cap binds only below n = 5 *)
     let g =
       ref
         (if Prng.bool rng then Random_graphs.tree rng cfg.n
-         else Random_graphs.connected_gnm rng cfg.n (cfg.n + Prng.int rng cfg.n))
+         else
+           Random_graphs.connected_gnm rng cfg.n
+             (min (cfg.n + Prng.int rng cfg.n) (cfg.n * (cfg.n - 1) / 2)))
     in
     let current = ref (score cfg !g) in
     incr evaluated;

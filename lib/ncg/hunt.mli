@@ -31,7 +31,8 @@ type result = {
       (** a verified equilibrium with diameter >= target, if any *)
   best_violations : int;
       (** fewest violating agents seen at target diameter across the
-          search (0 exactly when [found] is [Some]) *)
+          search (0 exactly when [found] is [Some]); -1 when no candidate
+          reached the target diameter *)
   evaluated : int;  (** candidate graphs scored *)
 }
 

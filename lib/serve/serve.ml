@@ -23,7 +23,6 @@ type config = {
   jobs : int;
   workers : int;
   cache_capacity : int;
-  cache_shards : int;
   max_request_bytes : int;
   max_graph_vertices : int;
   census_slice : int;
@@ -40,7 +39,6 @@ let default_config =
     jobs = 0;
     workers = 0;
     cache_capacity = 4096;
-    cache_shards = 0;
     max_request_bytes = 1 lsl 20;
     max_graph_vertices = 512;
     census_slice = 4096;
@@ -118,10 +116,6 @@ type t = {
   pool : Pool.t;
   pool_lock : Mutex.t;
   cache : string Lru_sharded.t;
-  (* memo of graph6 text -> canonical form: canonicalization is the
-     expensive part of a canonical-cache probe, so repeated texts must
-     not pay it twice *)
-  canon : string Lru_sharded.t;
   (* disk-backed warm-start tier (shared with census runs via the CLI);
      None unless [atlas_dir] is configured *)
   atlas : Atlas.t option;
@@ -153,6 +147,27 @@ let count_hit srv =
 let count_miss srv =
   Atomic.incr srv.miss_count;
   Telemetry.incr m_cache_misses
+
+(* The probe chain shared by [info] and [check]: the LRU, then the
+   warm-start atlas, whose hit warms the LRU so the next probe is a
+   memory hit. Fragments are stored verbatim, so hits are byte-identical
+   to misses. *)
+let find srv key =
+  match Lru_sharded.find srv.cache key with
+  | Some _ as r -> r
+  | None -> (
+    match srv.atlas with
+    | None -> None
+    | Some a ->
+      let r = Atlas.find a key in
+      Option.iter (Lru_sharded.add srv.cache key) r;
+      r)
+
+(* a computed answer goes into both tiers, so every future process
+   starts warm *)
+let store srv key r =
+  Lru_sharded.add srv.cache key r;
+  Option.iter (fun a -> Atlas.add a ~key ~value:r) srv.atlas
 
 (* --- dispatch ------------------------------------------------------------ *)
 
@@ -245,44 +260,20 @@ let graph_too_large srv g =
 
 let past deadline = Unix.gettimeofday () > deadline
 
-(* Warm-start tier: on an LRU miss, probe the atlas before computing;
-   on a compute, append the rendered fragment so every future process
-   starts warm. Fragments are stored verbatim, so hits are
-   byte-identical to misses. *)
-let atlas_find srv key =
-  match srv.atlas with
-  | None -> None
-  | Some a ->
-    let r = Atlas.find a key in
-    (* warm the LRU so the next probe is a memory hit *)
-    Option.iter (fun r -> Lru_sharded.add srv.cache key r) r;
-    r
-
-let atlas_add srv key r =
-  match srv.atlas with
-  | None -> ()
-  | Some a -> Atlas.add a ~key ~value:r
-
 let do_info srv (g6 : string) g =
   match graph_too_large srv g with
   | Some err -> Error err
   | None -> (
     let key = "info:" ^ g6 in
-    match Lru_sharded.find srv.cache key with
+    match find srv key with
     | Some r ->
       count_hit srv;
       Ok r
-    | None -> (
-      match atlas_find srv key with
-      | Some r ->
-        count_hit srv;
-        Ok r
-      | None ->
-        count_miss srv;
-        let r = Jsonx.to_string (Rpc.info_result g) in
-        Lru_sharded.add srv.cache key r;
-        atlas_add srv key r;
-        Ok r))
+    | None ->
+      count_miss srv;
+      let r = Jsonx.to_string (Rpc.info_result g) in
+      store srv key r;
+      Ok r)
 
 let do_check srv ~deadline game (g6 : string) g =
   match graph_too_large srv g with
@@ -294,36 +285,28 @@ let do_check srv ~deadline game (g6 : string) g =
        Guarded by the Canon search cap and restricted to the basic games
        — an alpha verdict depends on the labeling through edge ownership,
        so even "equilibrium" must not be served to a relabeling. Larger
-       graphs only dedupe on the exact bytes. *)
-    let canon_key =
-      if Game.is_basic game && Graph.n g <= Canon.max_search_vertices then begin
-        let cf =
-          match Lru_sharded.find srv.canon g6 with
-          | Some cf -> cf
-          | None ->
-            let cf = Canon.canonical_form g in
-            Lru_sharded.add srv.canon g6 cf;
-            cf
-        in
-        Some (Printf.sprintf "check:%s:canon:%s" game_name cf)
-      end
-      else None
-    in
-    let cached =
-      match Lru_sharded.find srv.cache exact_key with
-      | Some r -> Some r
-      | None -> Option.bind canon_key (Lru_sharded.find srv.cache)
-    in
-    (* LRU miss: probe the warm-start tier under the same two keys. The
-       canon entry only ever holds isomorphism-invariant fragments, so
-       serving it for a relabeling is byte-safe. *)
-    let cached =
-      match cached with
-      | Some _ -> cached
+       graphs only dedupe on the exact bytes. The search is the costly
+       part of a probe, so it runs only once the exact text has missed
+       both tiers. *)
+    let cached, canon_key =
+      match find srv exact_key with
+      | Some _ as r -> (r, None)
       | None -> (
-        match atlas_find srv exact_key with
-        | Some _ as r -> r
-        | None -> Option.bind canon_key (atlas_find srv))
+        let canon_key =
+          if Game.is_basic game && Graph.n g <= Canon.max_search_vertices then
+            Some (Printf.sprintf "check:%s:canon:%s" game_name (Canon.canonical_form g))
+          else None
+        in
+        match Option.bind canon_key (find srv) with
+        | Some r ->
+          (* a canon entry only ever holds an isomorphism-invariant
+             fragment, so serving it for a relabeling is byte-safe.
+             Filing it under the exact text spares a repeated relabeling
+             the search; the atlas already holds it under the canonical
+             key *)
+          Lru_sharded.add srv.cache exact_key r;
+          (Some r, canon_key)
+        | None -> (None, canon_key))
     in
     match cached with
     | Some r ->
@@ -350,15 +333,12 @@ let do_check srv ~deadline game (g6 : string) g =
           Error (Rpc.Timeout, "deadline expired while queued for the pool")
         | Some verdict ->
           let r = Jsonx.to_string (Rpc.check_result game verdict g) in
-          Lru_sharded.add srv.cache exact_key r;
-          atlas_add srv exact_key r;
+          store srv exact_key r;
           (* a violation witness names concrete vertices, so it is only
              valid for this labeling — never serve it to an isomorphic
              relabeling *)
-          if Rpc.verdict_is_invariant verdict then begin
-            Option.iter (fun k -> Lru_sharded.add srv.cache k r) canon_key;
-            Option.iter (fun k -> atlas_add srv k r) canon_key
-          end;
+          if Rpc.verdict_is_invariant verdict then
+            Option.iter (fun k -> store srv k r) canon_key;
           Ok r
       end)
 
@@ -817,7 +797,6 @@ let start cfg =
   if cfg.jobs < 0 then invalid_arg "Serve.start: jobs < 0";
   if cfg.workers < 0 then invalid_arg "Serve.start: workers < 0";
   if cfg.cache_capacity < 1 then invalid_arg "Serve.start: cache_capacity < 1";
-  if cfg.cache_shards < 0 then invalid_arg "Serve.start: cache_shards < 0";
   if cfg.max_request_bytes < 64 then
     invalid_arg "Serve.start: max_request_bytes < 64";
   if cfg.max_graph_vertices < 1 then
@@ -830,7 +809,6 @@ let start cfg =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let jobs = if cfg.jobs = 0 then Pool.available_jobs () else cfg.jobs in
   let nworkers = if cfg.workers = 0 then Pool.available_jobs () else cfg.workers in
-  let shards = if cfg.cache_shards = 0 then 8 else cfg.cache_shards in
   (* open the atlas before binding any socket: a locked or damaged
      directory must fail the whole start, not a half-bound server *)
   let atlas =
@@ -852,8 +830,7 @@ let start cfg =
       cfg;
       pool = Pool.create ~jobs ();
       pool_lock = Mutex.create ();
-      cache = Lru_sharded.create ~shards ~capacity:cfg.cache_capacity ();
-      canon = Lru_sharded.create ~shards ~capacity:cfg.cache_capacity ();
+      cache = Lru_sharded.create ~capacity:cfg.cache_capacity ();
       atlas;
       stopping = Atomic.make false;
       listeners;

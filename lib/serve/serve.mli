@@ -27,16 +27,23 @@
     way to parallelize a census is to fan disjoint [census-shard]
     ranges across requests.
 
-    {b Caching.} [check] results are cached under the exact graph6 text
-    and — when the verdict is isomorphism-invariant (equilibrium /
-    disconnected) and the graph is within {!Canon.max_search_vertices} —
-    under [version + canonical form], so relabeled copies of a known
-    equilibrium are cache hits. Violation verdicts name concrete
+    {b Caching.} One probe chain serves [info] and [check]: a key is
+    looked up in the LRU, then in the atlas (when [atlas_dir] is set; a
+    hit there warms the LRU), and a computed answer is stored in both.
+    [info] results are keyed by the exact graph6 text only. A [check] is
+    first probed under its exact text. Only when that misses both tiers,
+    and the game is a basic one with the graph within
+    {!Canon.max_search_vertices}, does the server compute the canonical
+    form and probe [game + canonical form] the same way; a hit there
+    is also put in the LRU under the exact text, so a repeated
+    relabeling pays the search once. A computed verdict is stored under
+    the canonical key only when it is isomorphism-invariant
+    (equilibrium / disconnected): violation verdicts name concrete
     vertices, so they are only ever served for the exact same labeled
     graph. The cache stores rendered JSON fragments: hits and misses
-    emit byte-identical responses. [info] results are cached under the
-    exact text only. The cache is sharded ({!Lru_sharded}): worker
-    domains contend per shard, not globally; eviction is per-shard LRU.
+    emit byte-identical responses. The LRU is split into 8 shards
+    ({!Lru_sharded}): worker domains contend per shard, not globally;
+    eviction is per-shard LRU.
 
     {b Robustness.} A request line over [max_request_bytes] gets a
     [too_large] error (and, when the overflow is detected before the
@@ -70,8 +77,7 @@ type config = {
   workers : int;
       (** event-loop domains; 0 = all available cores. Independent of
           [jobs]: workers multiplex connections, the pool runs kernels *)
-  cache_capacity : int;
-  cache_shards : int;  (** cache shard count; 0 = default (8) *)
+  cache_capacity : int;  (** result-cache entries, over all 8 shards *)
   max_request_bytes : int;
   max_graph_vertices : int;
       (** upper bound on [Graph.n] accepted by [info] and [check] — the

@@ -30,6 +30,21 @@ let test_hunt_respects_impossible_target () =
   check_true "cannot find the impossible" (r.Hunt.found = None);
   check_true "still evaluated candidates" (r.Hunt.evaluated > 0)
 
+let test_tiny_n () =
+  (* below n = 5 a restart's edge draw can exceed n(n-1)/2; it is capped.
+     No graph on fewer than 4 vertices has diameter 3, which the result
+     reports as best_violations = -1 *)
+  for n = 2 to 4 do
+    for seed = 0 to 9 do
+      let r =
+        Hunt.run (Prng.create seed)
+          { (Hunt.default_config ~n ~target_diameter:3 ()) with Hunt.steps = 50; restarts = 2 }
+      in
+      check_true "evaluated candidates" (r.Hunt.evaluated > 0);
+      if n < 4 then check_int "no candidate at diameter 3" (-1) r.Hunt.best_violations
+    done
+  done
+
 let test_found_graphs_always_verified () =
   (* whatever the hunt returns must be a genuine equilibrium at target *)
   let rng = Prng.create 7 in
@@ -58,6 +73,7 @@ let suite =
     test_violations_zero_iff_equilibrium;
     slow_case "finds the n=8 diameter-3 witness" test_hunt_finds_diameter3_at_8;
     case "cannot find the impossible" test_hunt_respects_impossible_target;
+    case "tiny n: no edge draw beyond n(n-1)/2" test_tiny_n;
     case "finds are verified" test_found_graphs_always_verified;
     case "minimal witness properties" test_minimal_witness_properties;
   ]

@@ -308,6 +308,17 @@ let error_code_of reply =
     | _ -> None)
   | Error _ -> None
 
+(* the server's aggregate cache hit count, from its in-band stats *)
+let cache_hits c =
+  match Jsonx.parse (Serve.call c "{\"method\":\"stats\"}") with
+  | Ok r ->
+    Option.value ~default:(-1)
+      (Option.bind
+         (Option.bind (Option.bind (Jsonx.member "result" r) (Jsonx.member "cache"))
+            (Jsonx.member "hits"))
+         Jsonx.to_int)
+  | Error _ -> -1
+
 let test_e2e_concurrent_clients () =
   let sock = temp_sock "e2e" in
   let srv = Serve.start (e2e_config sock) in
@@ -341,20 +352,7 @@ let test_e2e_concurrent_clients () =
         Alcotest.failf "thread %d: %d bad responses, first: %s" t (List.length fs) f)
     failures;
   (* repeated isomorphic/identical graphs must have hit the cache *)
-  let stats =
-    Serve.with_client (Serve.Unix_sock sock) (fun c ->
-        Serve.call c "{\"method\":\"stats\"}")
-  in
-  let hits =
-    match Jsonx.parse stats with
-    | Ok r ->
-      Option.value ~default:(-1)
-        (Option.bind
-           (Option.bind (Option.bind (Jsonx.member "result" r) (Jsonx.member "cache"))
-              (Jsonx.member "hits"))
-           Jsonx.to_int)
-    | Error _ -> -1
-  in
+  let hits = Serve.with_client (Serve.Unix_sock sock) cache_hits in
   check_true "cache hits > 0" (hits > 0);
   Serve.stop srv;
   Serve.stop srv (* idempotent *);
@@ -546,6 +544,58 @@ let test_e2e_star16 () =
       ("max", Game.Max, relabeled);
     ]
 
+let canon_nodes = Telemetry.counter "canon.nodes"
+
+let test_e2e_exact_key_before_canon () =
+  (* a check probes its exact text in the LRU and the atlas before it
+     pays a canonical search. Server A files Petersen (an equilibrium,
+     so also under its canonical key) and P12 (a violation) in a fresh
+     atlas; a fresh server B over the same directory answers both texts
+     from the atlas with no search. A relabeled Petersen pays the search
+     once: its canonical hit is filed under its own text too. *)
+  let was = Telemetry.enabled () in
+  Telemetry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Telemetry.set_enabled was) @@ fun () ->
+  Test_atlas.with_dir "probe-order" @@ fun dir ->
+  let with_server f =
+    let sock = temp_sock "probe" in
+    let srv = Serve.start { (e2e_config sock) with Serve.atlas_dir = Some dir } in
+    Fun.protect ~finally:(fun () -> Serve.stop srv) @@ fun () ->
+    Serve.with_client (Serve.Unix_sock sock) f
+  in
+  let petersen = Generators.petersen () in
+  let checks = [ (1, petersen); (2, Generators.path 12) ] in
+  let check_all c =
+    List.iter
+      (fun (id, g) ->
+        check_str
+          (Printf.sprintf "check %d" id)
+          (expected_check ~id Game.Sum g)
+          (Serve.call c (check_request ~id "sum" g)))
+      checks
+  in
+  with_server check_all;
+  with_server @@ fun c ->
+  let searched f =
+    let before = Telemetry.counter_value canon_nodes in
+    f ();
+    Telemetry.counter_value canon_nodes - before
+  in
+  check_int "exact atlas hits search nothing" 0 (searched (fun () -> check_all c));
+  let relabeled = relabel petersen (Array.init 10 (fun v -> ((v * 3) + 1) mod 10)) in
+  check_true "relabeling changes the text"
+    (Graph6.encode relabeled <> Graph6.encode petersen);
+  let send id () =
+    check_str
+      (Printf.sprintf "relabeled Petersen %d" id)
+      (expected_check ~id Game.Sum relabeled)
+      (Serve.call c (check_request ~id "sum" relabeled))
+  in
+  let hits = cache_hits c in
+  check_true "first relabeling searches" (searched (send 3) > 0);
+  check_int "first relabeling is a cache hit" (hits + 1) (cache_hits c);
+  check_int "repeated relabeling searches nothing" 0 (searched (send 4))
+
 let test_e2e_pipelining_in_order () =
   (* N mixed requests written as one batch before any reply is read:
      the replies must come back 1:1 in request order, byte-identical to
@@ -644,7 +694,7 @@ let test_e2e_pipeline_crosses_high_water () =
 
 let test_e2e_stats_evloop () =
   let sock = temp_sock "evstats" in
-  let cfg = { (e2e_config sock) with Serve.workers = 2; cache_shards = 4 } in
+  let cfg = { (e2e_config sock) with Serve.workers = 2 } in
   let srv = Serve.start cfg in
   Fun.protect ~finally:(fun () -> Serve.stop srv) @@ fun () ->
   check_int "worker_count" 2 (Serve.worker_count srv);
@@ -692,7 +742,7 @@ let test_e2e_stats_evloop () =
   let cache = Option.get (Jsonx.member "cache" result) in
   match Jsonx.member "shards" cache with
   | Some (Jsonx.List shards) ->
-    check_int "shard record count" 4 (List.length shards);
+    check_int "shard record count" 8 (List.length shards);
     let sum field =
       List.fold_left
         (fun acc s ->
@@ -729,4 +779,5 @@ let suite =
     case "e2e: pipelined batch crosses write high water" test_e2e_pipeline_crosses_high_water;
     case "e2e: stats reports event-loop telemetry" test_e2e_stats_evloop;
     case "e2e: 16-vertex star, as given and relabeled" test_e2e_star16;
+    case "e2e: exact text probed before the canonical form" test_e2e_exact_key_before_canon;
   ]
