@@ -358,9 +358,8 @@ let run_pass ~tag ~pass_atlas_dir () =
   if depth > 0 then
     Printf.printf
       "loadgen%s: %d requests pipelined depth %d over %d conns, %d pool jobs, \
-       %d classes (backend %s, %d workers)\n%!"
-      label n depth c !jobs n_classes (Serve.backend_name srv)
-      (Serve.worker_count srv)
+       %d classes (%d workers)\n%!"
+      label n depth c !jobs n_classes (Serve.worker_count srv)
   else
     Printf.printf "loadgen%s: %d requests, %d clients, %d pool jobs, %d classes\n%!"
       label n c !jobs n_classes;

@@ -898,7 +898,7 @@ let call addr timeout meth game g6 kind n lo hi raw =
         | Error _ -> false
       in
       if ok then `Ok () else `Error (false, "server returned an error")
-    | exception Failure msg -> `Error (false, msg)
+    | exception (Failure msg | Invalid_argument msg) -> `Error (false, msg)
     | exception Unix.Unix_error (e, fn, arg) ->
       `Error (false, Printf.sprintf "%s(%s): %s" fn arg (Unix.error_message e)))
 

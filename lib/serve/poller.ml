@@ -1,5 +1,5 @@
-(* epoll where available, a poll(2) emulation elsewhere; see the stubs in
-   poller_stubs.c for the bitmask/-errno conventions. *)
+(* poll(2) over a registration table; see poller_stubs.c for the
+   bitmask/-errno conventions. *)
 
 external fd_int : Unix.file_descr -> int = "%identity"
 
@@ -8,15 +8,6 @@ external int_fd : int -> Unix.file_descr = "%identity"
 external raw_poll : int array -> int array -> int array -> int -> int -> int
   = "bncg_poll"
 
-external has_epoll : unit -> bool = "bncg_has_epoll"
-
-external raw_epoll_create : unit -> int = "bncg_epoll_create"
-
-external raw_epoll_ctl : int -> int -> int -> int -> int = "bncg_epoll_ctl"
-
-external raw_epoll_wait : int -> int array -> int array -> int -> int -> int
-  = "bncg_epoll_wait"
-
 let ev_read = 1
 
 let ev_write = 2
@@ -24,167 +15,105 @@ let ev_write = 2
 let ev_error = 4
 
 (* EINTR is 4 on every platform this builds on (Linux, the BSDs, macOS);
-   the stubs return -errno, and an interrupted wait is just "0 ready". *)
+   the stub returns -errno, and an interrupted wait is just "0 ready". *)
 let errno_eintr = 4
 
 let events_of ~read ~write =
   (if read then ev_read else 0) lor if write then ev_write else 0
 
-type backend =
-  | Epoll of { mutable epfd : int }
-  | Poll of {
-      mutable fds : int array;  (* registered fds, packed in [0, n) *)
-      mutable events : int array;  (* interest bitmask per slot *)
-      mutable revents : int array;
-      mutable n : int;
-      index : (int, int) Hashtbl.t;  (* fd -> slot *)
-    }
-
 type t = {
-  kind : backend;
+  mutable fds : int array;  (* registered fds, packed in [0, n) *)
+  mutable events : int array;  (* interest bitmask per slot *)
+  mutable revents : int array;
+  mutable n : int;
+  index : (int, int) Hashtbl.t;  (* fd -> slot *)
   max_events : int;
   ready_fds : int array;
   ready_flags : int array;
   mutable nready : int;
-  mutable closed : bool;
 }
-
-let backend t = match t.kind with Epoll _ -> "epoll" | Poll _ -> "poll"
-
-let available_backend () = if has_epoll () then "epoll" else "poll"
 
 let create ?(max_events = 256) () =
   if max_events < 1 then invalid_arg "Poller.create: max_events < 1";
-  let kind =
-    if has_epoll () then begin
-      let epfd = raw_epoll_create () in
-      if epfd < 0 then
-        failwith (Printf.sprintf "Poller: epoll_create failed (errno %d)" (-epfd));
-      Epoll { epfd }
-    end
-    else
-      Poll
-        {
-          fds = Array.make 16 (-1);
-          events = Array.make 16 0;
-          revents = Array.make 16 0;
-          n = 0;
-          index = Hashtbl.create 16;
-        }
-  in
   {
-    kind;
+    fds = Array.make 16 (-1);
+    events = Array.make 16 0;
+    revents = Array.make 16 0;
+    n = 0;
+    index = Hashtbl.create 16;
     max_events;
     ready_fds = Array.make max_events (-1);
     ready_flags = Array.make max_events 0;
     nready = 0;
-    closed = false;
   }
 
 let close t =
-  if not t.closed then begin
-    t.closed <- true;
-    t.nready <- 0;
-    match t.kind with
-    | Epoll e ->
-      if e.epfd >= 0 then begin
-        (try Unix.close (int_fd e.epfd) with Unix.Unix_error _ -> ());
-        e.epfd <- -1
-      end
-    | Poll p ->
-      p.n <- 0;
-      Hashtbl.reset p.index
-  end
-
-let ctl_fail op fd err =
-  failwith
-    (Printf.sprintf "Poller: epoll_ctl %s fd %d failed (errno %d)" op fd (-err))
+  t.n <- 0;
+  t.nready <- 0;
+  Hashtbl.reset t.index
 
 let add t fd ~read ~write =
   let fd = fd_int fd in
-  let ev = events_of ~read ~write in
-  match t.kind with
-  | Epoll e ->
-    let r = raw_epoll_ctl e.epfd 1 fd ev in
-    if r < 0 then ctl_fail "add" fd r
-  | Poll p ->
-    if Hashtbl.mem p.index fd then
-      failwith (Printf.sprintf "Poller: fd %d already registered" fd);
-    if p.n = Array.length p.fds then begin
-      let grow a fill =
-        let b = Array.make (2 * Array.length a) fill in
-        Array.blit a 0 b 0 p.n;
-        b
-      in
-      p.fds <- grow p.fds (-1);
-      p.events <- grow p.events 0;
-      p.revents <- grow p.revents 0
-    end;
-    p.fds.(p.n) <- fd;
-    p.events.(p.n) <- ev;
-    Hashtbl.replace p.index fd p.n;
-    p.n <- p.n + 1
+  if Hashtbl.mem t.index fd then
+    failwith (Printf.sprintf "Poller: fd %d already registered" fd);
+  if t.n = Array.length t.fds then begin
+    let grow a fill =
+      let b = Array.make (2 * Array.length a) fill in
+      Array.blit a 0 b 0 t.n;
+      b
+    in
+    t.fds <- grow t.fds (-1);
+    t.events <- grow t.events 0;
+    t.revents <- grow t.revents 0
+  end;
+  t.fds.(t.n) <- fd;
+  t.events.(t.n) <- events_of ~read ~write;
+  Hashtbl.replace t.index fd t.n;
+  t.n <- t.n + 1
 
 let modify t fd ~read ~write =
   let fd = fd_int fd in
-  let ev = events_of ~read ~write in
-  match t.kind with
-  | Epoll e ->
-    let r = raw_epoll_ctl e.epfd 2 fd ev in
-    if r < 0 then ctl_fail "mod" fd r
-  | Poll p -> (
-    match Hashtbl.find_opt p.index fd with
-    | None -> failwith (Printf.sprintf "Poller: fd %d not registered" fd)
-    | Some slot -> p.events.(slot) <- ev)
+  match Hashtbl.find_opt t.index fd with
+  | None -> failwith (Printf.sprintf "Poller: fd %d not registered" fd)
+  | Some slot -> t.events.(slot) <- events_of ~read ~write
 
 let remove t fd =
   let fd = fd_int fd in
-  match t.kind with
-  | Epoll e -> ignore (raw_epoll_ctl e.epfd 3 fd 0)
-  | Poll p -> (
-    match Hashtbl.find_opt p.index fd with
-    | None -> ()
-    | Some slot ->
-      Hashtbl.remove p.index fd;
-      let last = p.n - 1 in
-      if slot < last then begin
-        (* keep [0, n) packed: move the last registration into the hole *)
-        p.fds.(slot) <- p.fds.(last);
-        p.events.(slot) <- p.events.(last);
-        Hashtbl.replace p.index p.fds.(slot) slot
-      end;
-      p.fds.(last) <- -1;
-      p.n <- last)
+  match Hashtbl.find_opt t.index fd with
+  | None -> ()
+  | Some slot ->
+    Hashtbl.remove t.index fd;
+    let last = t.n - 1 in
+    if slot < last then begin
+      (* keep [0, n) packed: move the last registration into the hole *)
+      t.fds.(slot) <- t.fds.(last);
+      t.events.(slot) <- t.events.(last);
+      Hashtbl.replace t.index t.fds.(slot) slot
+    end;
+    t.fds.(last) <- -1;
+    t.n <- last
 
 let wait t ~timeout_ms =
   t.nready <- 0;
-  (match t.kind with
-  | Epoll e ->
-    let n = raw_epoll_wait e.epfd t.ready_fds t.ready_flags t.max_events timeout_ms in
-    if n >= 0 then t.nready <- n
-    else if n <> -errno_eintr then
-      failwith (Printf.sprintf "Poller: epoll_wait failed (errno %d)" (-n))
-  | Poll p ->
-    let n = raw_poll p.fds p.events p.revents p.n timeout_ms in
-    if n > 0 then begin
-      (* scan is O(registered), the price of the fallback; the ready
-         batch is clamped to max_events and level-triggering re-reports
-         the remainder on the next call *)
-      let out = ref 0 in
-      let i = ref 0 in
-      while !out < t.max_events && !i < p.n do
-        let rev = p.revents.(!i) in
-        if rev <> 0 then begin
-          t.ready_fds.(!out) <- p.fds.(!i);
-          t.ready_flags.(!out) <- rev;
-          incr out
-        end;
-        incr i
-      done;
-      t.nready <- !out
-    end
-    else if n < 0 && n <> -errno_eintr then
-      failwith (Printf.sprintf "Poller: poll failed (errno %d)" (-n)));
+  let n = raw_poll t.fds t.events t.revents t.n timeout_ms in
+  if n > 0 then begin
+    (* the ready batch is clamped to max_events; level-triggering
+       re-reports the remainder on the next call *)
+    let out = ref 0 in
+    let i = ref 0 in
+    while !out < t.max_events && !i < t.n do
+      let rev = t.revents.(!i) in
+      if rev <> 0 then begin
+        t.ready_fds.(!out) <- t.fds.(!i);
+        t.ready_flags.(!out) <- rev;
+        incr out
+      end;
+      incr i
+    done;
+    t.nready <- !out
+  end
+  else if n < 0 && n <> -errno_eintr then
+    failwith (Printf.sprintf "Poller: poll failed (errno %d)" (-n));
   t.nready
 
 let check_ready t i =

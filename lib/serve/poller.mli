@@ -4,18 +4,18 @@
     silently corrupts its bitmasks past that, so the serving layer never
     calls it: one-shot waits go through {!wait_readable} /
     {!wait_writable} (poll(2) on a single descriptor) and the event loop
-    proper multiplexes through a {!t} — epoll(7) where the platform has
-    it (Linux), a poll(2)-backed emulation with identical semantics
-    everywhere else. Which one a process got is observable via
-    {!backend} ("epoll" or "poll").
+    proper multiplexes through a {!t} — a registration table handed to
+    poll(2) on every {!wait}, which has no descriptor-number limit. A
+    wait costs time in proportion to the registered descriptors; a serve
+    worker registers its wake pipe, the listening sockets and its own
+    connections, a dozen or so.
 
-    Readiness is level-triggered under both backends: a descriptor with
-    unread input (or writable space, when write interest is registered)
-    is reported again on every {!wait} until drained, so a loop that
-    reads one bounded chunk per wakeup is fair across connections and
-    never loses events. Peer hangup reports as {e readable} — the
-    conventional shape: the reader drains what is buffered and then sees
-    EOF from [read].
+    Readiness is level-triggered: a descriptor with unread input (or
+    writable space, when write interest is registered) is reported again
+    on every {!wait} until drained, so a loop that reads one bounded
+    chunk per wakeup is fair across connections and never loses events.
+    Peer hangup reports as {e readable} — the conventional shape: the
+    reader drains what is buffered and then sees EOF from [read].
 
     All waits release the OCaml runtime lock, so other domains (pool
     workers, sibling event loops) keep running while one loop is parked.
@@ -32,28 +32,24 @@ val create : ?max_events:int -> unit -> t
     (level-triggered, nothing is lost).
     @raise Invalid_argument if [max_events < 1]. *)
 
-val backend : t -> string
-(** ["epoll"] or ["poll"]. *)
-
-val available_backend : unit -> string
-(** What {!create} would pick on this platform, without creating. *)
-
 val close : t -> unit
-(** Release the kernel object (epoll fd) / tables. Idempotent; the
+(** Drop every registration. It closes no descriptor. Idempotent; the
     poller must not be used afterwards. *)
 
 val add : t -> Unix.file_descr -> read:bool -> write:bool -> unit
-(** Register a descriptor with the given interest set.
-    @raise Failure if the kernel refuses (e.g. the fd is already
-    registered or invalid). *)
+(** Register a descriptor with the given interest set. An invalid
+    descriptor is not refused here; {!wait} reports it as an error.
+    @raise Failure if the fd is already registered. *)
 
 val modify : t -> Unix.file_descr -> read:bool -> write:bool -> unit
-(** Replace the interest set of a registered descriptor. *)
+(** Replace the interest set of a registered descriptor. With neither
+    interest the descriptor stays registered but reports only errors.
+    @raise Failure if the fd is not registered. *)
 
 val remove : t -> Unix.file_descr -> unit
-(** Deregister. No-op if the descriptor was never added ([remove] after
-    [Unix.close] is tolerated — the kernel already dropped epoll
-    registrations with the last close). *)
+(** Deregister. No-op if the descriptor was never added. Call it before
+    [Unix.close]: the table holds fd numbers, and the kernel reuses a
+    closed number for the next socket or pipe this process opens. *)
 
 val wait : t -> timeout_ms:int -> int
 (** Block until at least one registered descriptor is ready or the
@@ -74,9 +70,8 @@ val ready_error : t -> int -> bool
 
 (** {1 One-shot waits}
 
-    Single-descriptor poll(2) round trips — the replacements for the
-    [Unix.select] timeouts the pre-event-loop server used (accept loops,
-    the blocking client). Safe for any fd number, unlike select. *)
+    Single-descriptor poll(2) round trips, for the blocking client and
+    the drain-phase flush. Safe for any fd number, unlike select. *)
 
 val wait_readable : Unix.file_descr -> float -> bool
 (** [wait_readable fd seconds] is [true] when [fd] is readable (or hung

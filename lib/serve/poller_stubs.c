@@ -1,18 +1,18 @@
-/* C stubs for the event-loop multiplexer: poll(2) everywhere, epoll(7)
-   on Linux. No dependency beyond the OCaml runtime and libc.
+/* C stub for the event-loop multiplexer: poll(2). No dependency beyond
+   the OCaml runtime and libc.
 
    Conventions shared with poller.ml:
      - file descriptors cross the boundary as plain ints (Unix.file_descr
        is an int on every Unix OCaml port);
      - interest and readiness are bitmasks: 1 = readable, 2 = writable,
-       4 = error/invalid. POLLHUP/EPOLLHUP report as readable so the
-       reader drains buffered bytes and then sees EOF from read();
+       4 = error/invalid. POLLHUP reports as readable so the reader
+       drains buffered bytes and then sees EOF from read();
      - errors return the negated errno instead of raising — the OCaml
        side decides what is retryable (EINTR) and what is fatal, without
        needing caml/unixsupport.h;
-     - every blocking wait releases the OCaml runtime lock, so other
-       domains keep running (and stop-the-world GC is never blocked on a
-       parked event loop). */
+     - the wait releases the OCaml runtime lock, so other domains keep
+       running (and stop-the-world GC is never blocked on a parked event
+       loop). */
 
 #include <caml/mlvalues.h>
 #include <caml/memory.h>
@@ -22,7 +22,6 @@
 
 #include <errno.h>
 #include <poll.h>
-#include <string.h>
 
 #define BNCG_EV_READ 1
 #define BNCG_EV_WRITE 2
@@ -74,106 +73,3 @@ CAMLprim value bncg_poll(value vfds, value vevents, value vrevents, value vn,
   caml_stat_free(pfds);
   CAMLreturn(Val_int(ret));
 }
-
-#ifdef __linux__
-
-#include <sys/epoll.h>
-#include <unistd.h>
-
-CAMLprim value bncg_has_epoll(value vunit)
-{
-  (void)vunit;
-  return Val_true;
-}
-
-CAMLprim value bncg_epoll_create(value vunit)
-{
-  int fd;
-  (void)vunit;
-  fd = epoll_create1(EPOLL_CLOEXEC);
-  return Val_int(fd < 0 ? -errno : fd);
-}
-
-/* op: 1 = add, 2 = modify, 3 = delete. */
-CAMLprim value bncg_epoll_ctl(value vep, value vop, value vfd, value vevents)
-{
-  struct epoll_event ev;
-  int op, ret;
-  memset(&ev, 0, sizeof(ev));
-  ev.data.fd = Int_val(vfd);
-  ev.events = ((Int_val(vevents) & BNCG_EV_READ) ? EPOLLIN : 0) |
-              ((Int_val(vevents) & BNCG_EV_WRITE) ? EPOLLOUT : 0);
-  switch (Int_val(vop)) {
-  case 1: op = EPOLL_CTL_ADD; break;
-  case 2: op = EPOLL_CTL_MOD; break;
-  default: op = EPOLL_CTL_DEL; break;
-  }
-  ret = epoll_ctl(Int_val(vep), op, Int_val(vfd), &ev);
-  return Val_int(ret < 0 ? -errno : 0);
-}
-
-#define BNCG_MAX_EPOLL_EVENTS 1024
-
-/* Fills vfds/vflags with the ready set; returns the ready count or
-   -errno. maxevents is clamped to the array sizes and a fixed stack
-   buffer bound. */
-CAMLprim value bncg_epoll_wait(value vep, value vfds, value vflags, value vmax,
-                               value vtimeout_ms)
-{
-  CAMLparam5(vep, vfds, vflags, vmax, vtimeout_ms);
-  struct epoll_event evs[BNCG_MAX_EPOLL_EVENTS];
-  int epfd = Int_val(vep);
-  int max = Int_val(vmax);
-  int timeout = Int_val(vtimeout_ms);
-  int n, i;
-
-  if (max > BNCG_MAX_EPOLL_EVENTS) max = BNCG_MAX_EPOLL_EVENTS;
-  if ((mlsize_t)max > Wosize_val(vfds)) max = (int)Wosize_val(vfds);
-  if ((mlsize_t)max > Wosize_val(vflags)) max = (int)Wosize_val(vflags);
-  if (max < 1) caml_invalid_argument("Poller: epoll_wait with no event room");
-
-  caml_release_runtime_system();
-  n = epoll_wait(epfd, evs, max, timeout);
-  caml_acquire_runtime_system();
-
-  if (n < 0) CAMLreturn(Val_int(-errno));
-  for (i = 0; i < n; i++) {
-    int fl = 0;
-    if (evs[i].events & (EPOLLIN | EPOLLHUP | EPOLLRDHUP)) fl |= BNCG_EV_READ;
-    if (evs[i].events & EPOLLOUT) fl |= BNCG_EV_WRITE;
-    if (evs[i].events & EPOLLERR) fl |= BNCG_EV_ERROR;
-    Field(vfds, i) = Val_int(evs[i].data.fd);
-    Field(vflags, i) = Val_int(fl);
-  }
-  CAMLreturn(Val_int(n));
-}
-
-#else /* !__linux__: epoll entry points exist but report ENOSYS; the
-         OCaml side never calls them when bncg_has_epoll is false. */
-
-CAMLprim value bncg_has_epoll(value vunit)
-{
-  (void)vunit;
-  return Val_false;
-}
-
-CAMLprim value bncg_epoll_create(value vunit)
-{
-  (void)vunit;
-  return Val_int(-ENOSYS);
-}
-
-CAMLprim value bncg_epoll_ctl(value vep, value vop, value vfd, value vevents)
-{
-  (void)vep; (void)vop; (void)vfd; (void)vevents;
-  return Val_int(-ENOSYS);
-}
-
-CAMLprim value bncg_epoll_wait(value vep, value vfds, value vflags, value vmax,
-                               value vtimeout_ms)
-{
-  (void)vep; (void)vfds; (void)vflags; (void)vmax; (void)vtimeout_ms;
-  return Val_int(-ENOSYS);
-}
-
-#endif

@@ -1,10 +1,11 @@
-(* Event-driven serving core: per-core worker domains, each running a
-   level-triggered Poller (epoll on Linux, poll elsewhere) over
-   non-blocking sockets. Accept threads hand fresh connections to
-   workers round-robin through a pipe-woken inbox; each connection
-   carries a reusable read frame and write buffer, so a pipelined
-   client's N requests cost one read wakeup, N dispatches and one
-   (batched) write — no per-request thread, no per-request buffer.
+(* Event-driven serving core: per-core worker domains, each running one
+   level-triggered poll(2) loop (Poller) over its wake pipe, every
+   listening socket and its own non-blocking connections. A worker
+   accepts its own connections, so a new client goes to whichever
+   worker is waiting instead of queueing behind a busy one. Each
+   connection carries a reusable read frame and write buffer, so a
+   pipelined client's N requests cost one read wakeup, N dispatches and
+   one (batched) write — no per-request thread, no per-request buffer.
 
    Responses go back in request order per connection because each
    worker processes its connections' lines synchronously, in arrival
@@ -100,9 +101,7 @@ let hist_sum into from =
 type worker = {
   w_index : int;
   w_wake_r : Unix.file_descr;
-  w_wake_w : Unix.file_descr;
-  w_inbox : Unix.file_descr Queue.t;
-  w_inbox_lock : Mutex.t;
+  w_wake_w : Unix.file_descr;  (* written by [stop] only *)
   (* live event-loop stats; single-writer (the worker domain) *)
   mutable w_wakeups : int;
   w_batch_hist : int array;
@@ -121,10 +120,7 @@ type t = {
   atlas : Atlas.t option;
   stopping : bool Atomic.t;
   listeners : (address * Unix.file_descr) list;
-  mutable accept_threads : Thread.t list;
   workers : worker array;
-  rr : int Atomic.t;  (* round-robin connection handoff cursor *)
-  backend : string;
   (* live counters for the in-band stats method, independent of the
      telemetry switch *)
   requests : int Atomic.t;
@@ -221,7 +217,6 @@ let stats_result srv =
       ( "evloop",
         Jsonx.Obj
           [
-            ("backend", Jsonx.Str srv.backend);
             ("workers", Jsonx.Int (Array.length srv.workers));
             ("wakeups", Jsonx.Int !wakeups);
             ("connections", Jsonx.Int !open_conns);
@@ -474,8 +469,6 @@ let make_worker i =
     w_index = i;
     w_wake_r = wake_r;
     w_wake_w = wake_w;
-    w_inbox = Queue.create ();
-    w_inbox_lock = Mutex.create ();
     w_wakeups = 0;
     w_batch_hist = Array.make hist_buckets 0;
     w_depth_hist = Array.make hist_buckets 0;
@@ -494,6 +487,8 @@ let worker_loop srv w =
   let cfg = srv.cfg in
   let poller = Poller.create () in
   Poller.add poller w.w_wake_r ~read:true ~write:false;
+  let listen_fds = List.map snd srv.listeners in
+  List.iter (fun fd -> Poller.add poller fd ~read:true ~write:false) listen_fds;
   let conns : (int, conn) Hashtbl.t = Hashtbl.create 64 in
   let chunk = Bytes.create 65536 in
   let close_conn c =
@@ -640,26 +635,53 @@ let worker_loop srv w =
        this on the next wait; serving it now saves a wakeup) *)
     handle_readable c
   in
-  let drain_inbox () =
-    let rec drain_pipe () =
-      match Unix.read w.w_wake_r chunk 0 (Bytes.length chunk) with
-      | 0 -> ()
-      | _ -> drain_pipe ()
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        ->
-        ()
-    in
-    drain_pipe ();
-    let adopted = ref [] in
-    Mutex.lock w.w_inbox_lock;
-    Queue.iter (fun fd -> adopted := fd :: !adopted) w.w_inbox;
-    Queue.clear w.w_inbox;
-    Mutex.unlock w.w_inbox_lock;
-    List.iter adopt (List.rev !adopted)
+  (* Out of descriptors (EMFILE/ENFILE), a listener stays readable and
+     every accept fails until a connection closes. The worker stops
+     watching the listeners until [paused_until] instead of spinning on
+     them; it must not sleep, because its connections still need it. *)
+  let paused_until = ref None in
+  let watch_listeners read =
+    List.iter (fun fd -> Poller.modify poller fd ~read ~write:false) listen_fds
+  in
+  let accept_one lfd =
+    match Unix.accept ~cloexec:true lfd with
+    | fd, _ ->
+      Unix.set_nonblock fd;
+      (* latency over batching on TCP: responses are already written
+         in as few syscalls as the pipeline allows *)
+      (try Unix.setsockopt fd Unix.TCP_NODELAY true
+       with Unix.Unix_error _ -> () (* unix-domain sockets *));
+      adopt fd
+    | exception
+        Unix.Unix_error
+          ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.ECONNABORTED), _, _)
+      ->
+      () (* another worker won the race, or the client already left *)
+    | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+      watch_listeners false;
+      paused_until := Some (Unix.gettimeofday () +. 0.05)
+  in
+  let rec drain_wake () =
+    match Unix.read w.w_wake_r chunk 0 (Bytes.length chunk) with
+    | 0 -> ()
+    | _ -> drain_wake ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+      ->
+      ()
   in
   let wake_fd = fd_int w.w_wake_r in
   while not (Atomic.get srv.stopping) do
-    let n = Poller.wait poller ~timeout_ms:250 in
+    let timeout_ms =
+      match !paused_until with
+      | None -> 250
+      | Some t -> max 0 (int_of_float (Float.ceil ((t -. Unix.gettimeofday ()) *. 1e3)))
+    in
+    let n = Poller.wait poller ~timeout_ms in
+    (match !paused_until with
+    | Some t when Unix.gettimeofday () >= t ->
+      paused_until := None;
+      watch_listeners true
+    | _ -> ());
     w.w_wakeups <- w.w_wakeups + 1;
     Telemetry.incr m_wakeups;
     if n > 0 then begin
@@ -668,22 +690,24 @@ let worker_loop srv w =
     end;
     for i = 0 to n - 1 do
       let fd = Poller.ready_fd poller i in
-      if fd_int fd = wake_fd then drain_inbox ()
+      if fd_int fd = wake_fd then drain_wake ()
       else
         match Hashtbl.find_opt conns (fd_int fd) with
-        | None -> () (* closed earlier in this same batch *)
         | Some c ->
           if Poller.ready_error poller i then close_conn c
           else begin
             if Poller.ready_write poller i then pump c;
             if (not c.c_closed) && Poller.ready_read poller i then handle_readable c
           end
+        | None ->
+          (* a level-triggered listener re-reports its backlog, so a
+             burst spreads over the waiting workers; anything else was
+             closed earlier in this same batch *)
+          if List.mem fd listen_fds then accept_one fd
     done
   done;
   (* drain phase: answer every complete line already received (partial
-     lines are dropped — same contract as the thread-per-connection
-     server), flush with a bounded deadline, close everything *)
-  drain_inbox ();
+     lines are dropped), flush with a bounded deadline, close everything *)
   let deadline = Unix.gettimeofday () +. 5.0 in
   let remaining = Hashtbl.fold (fun _ c acc -> c :: acc) conns [] in
   List.iter
@@ -701,10 +725,6 @@ let worker_loop srv w =
         close_conn c
       end)
     remaining;
-  Mutex.lock w.w_inbox_lock;
-  Queue.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) w.w_inbox;
-  Queue.clear w.w_inbox;
-  Mutex.unlock w.w_inbox_lock;
   Poller.close poller;
   try Unix.close w.w_wake_r with Unix.Unix_error _ -> ()
 
@@ -718,77 +738,47 @@ let resolve_host host =
     | _ | (exception Not_found) ->
       invalid_arg (Printf.sprintf "Serve: cannot resolve host %S" host))
 
+(* A socket for [addr]'s family, handed to [setup] with the resolved
+   address and closed again if [setup] raises: a failed bind or connect
+   leaks no descriptor. The host is resolved before the socket exists. *)
+let open_socket addr setup =
+  let sa =
+    match addr with
+    | Unix_sock path -> Unix.ADDR_UNIX path
+    | Tcp (host, port) -> Unix.ADDR_INET (resolve_host host, port)
+  in
+  let fd = Unix.socket ~cloexec:true (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
+  try setup fd sa
+  with e ->
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    raise e
+
 let bind_one addr =
-  match addr with
-  | Unix_sock path ->
-    (match Unix.lstat path with
+  (match addr with
+  | Unix_sock path -> (
+    match Unix.lstat path with
     | { Unix.st_kind = Unix.S_SOCK; _ } -> Unix.unlink path (* stale socket *)
     | _ -> invalid_arg (Printf.sprintf "Serve: %s exists and is not a socket" path)
-    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
-    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.bind fd (Unix.ADDR_UNIX path);
-    Unix.listen fd 128;
-    (Unix_sock path, fd)
-  | Tcp (host, port) ->
-    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    Unix.bind fd (Unix.ADDR_INET (resolve_host host, port));
-    Unix.listen fd 128;
-    let bound_port =
-      match Unix.getsockname fd with
-      | Unix.ADDR_INET (_, p) -> p
-      | _ -> port
-    in
-    (Tcp (host, bound_port), fd)
+    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ())
+  | Tcp _ -> ());
+  open_socket addr (fun fd sa ->
+      (match sa with
+      | Unix.ADDR_INET _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true
+      | Unix.ADDR_UNIX _ -> ());
+      Unix.bind fd sa;
+      Unix.listen fd 128;
+      (* every worker polls every listener, and all but one lose each
+         accept race: the losers must get EAGAIN, not block *)
+      Unix.set_nonblock fd;
+      match (addr, Unix.getsockname fd) with
+      | Tcp (host, _), Unix.ADDR_INET (_, port) -> (Tcp (host, port), fd)
+      | _ -> (addr, fd))
 
-let accept_loop srv fd =
-  Unix.set_nonblock fd;
-  let nworkers = Array.length srv.workers in
-  let rec loop () =
-    if not (Atomic.get srv.stopping) then
-      if Poller.wait_readable fd 0.2 then begin
-        match Unix.accept ~cloexec:true fd with
-        | conn_fd, _ ->
-          if Atomic.get srv.stopping then
-            (* raced with shutdown: the workers may already have drained
-               their inboxes for the last time, so serve nothing — hang
-               up promptly instead of parking the client forever *)
-            (try Unix.close conn_fd with Unix.Unix_error _ -> ())
-          else begin
-            Unix.set_nonblock conn_fd;
-            (* latency over batching on TCP: responses are already written
-               in as few syscalls as the pipeline allows *)
-            (try Unix.setsockopt conn_fd Unix.TCP_NODELAY true
-             with Unix.Unix_error _ -> () (* unix-domain sockets *));
-            let w =
-              srv.workers.(Atomic.fetch_and_add srv.rr 1 mod nworkers)
-            in
-            Mutex.lock w.w_inbox_lock;
-            Queue.push conn_fd w.w_inbox;
-            Mutex.unlock w.w_inbox_lock;
-            wake w
-          end;
-          loop ()
-        | exception
-            Unix.Unix_error
-              ( ( Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK
-                | Unix.ECONNABORTED ),
-                _,
-                _ ) ->
-          loop ()
-        | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
-          (* fd exhaustion is transient — connections close and free
-             slots; back off briefly rather than killing the acceptor *)
-          (try Unix.sleepf 0.05
-           with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-          loop ()
-      end
-      else loop ()
-  in
-  (try loop ()
-   with e ->
-     Printf.eprintf "serve: accept loop died: %s\n%!" (Printexc.to_string e));
-  try Unix.close fd with Unix.Unix_error _ -> ()
+let close_listener (_, fd) = try Unix.close fd with Unix.Unix_error _ -> ()
+
+let unlink_listener = function
+  | Unix_sock path, _ -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
+  | Tcp _, _ -> ()
 
 (* --- lifecycle ----------------------------------------------------------- *)
 
@@ -820,8 +810,16 @@ let start cfg =
       | Error m -> invalid_arg ("Serve.start: atlas: " ^ m))
   in
   let listeners =
-    try List.map bind_one cfg.addresses
+    let bound = ref [] in
+    try
+      List.iter (fun addr -> bound := bind_one addr :: !bound) cfg.addresses;
+      List.rev !bound
     with e ->
+      List.iter
+        (fun l ->
+          close_listener l;
+          unlink_listener l)
+        !bound;
       Option.iter Atlas.close atlas;
       raise e
   in
@@ -834,10 +832,7 @@ let start cfg =
       atlas;
       stopping = Atomic.make false;
       listeners;
-      accept_threads = [];
       workers = Array.init nworkers make_worker;
-      rr = Atomic.make 0;
-      backend = Poller.available_backend ();
       requests = Atomic.make 0;
       ok_count = Atomic.make 0;
       err_count = Atomic.make 0;
@@ -859,13 +854,9 @@ let start cfg =
                  Printf.eprintf "serve: worker %d died: %s\n%!" w.w_index
                    (Printexc.to_string e))))
     srv.workers;
-  srv.accept_threads <-
-    List.map (fun (_, fd) -> Thread.create (accept_loop srv) fd) listeners;
   srv
 
 let bound_addresses srv = List.map fst srv.listeners
-
-let backend_name srv = srv.backend
 
 let worker_count srv = Array.length srv.workers
 
@@ -876,34 +867,21 @@ let stop srv =
   Mutex.unlock srv.stop_lock;
   if not already then begin
     Atomic.set srv.stopping true;
-    (* accept threads first: after they join, no new connection can be
-       pushed into a worker inbox *)
-    List.iter Thread.join srv.accept_threads;
     Array.iter wake srv.workers;
     Array.iter
       (fun w ->
         Option.iter Domain.join w.w_domain;
         w.w_domain <- None;
-        (* a worker can observe [stopping] on its own poll timeout and
-           run its final inbox drain before the accept threads exit; a
-           connection accepted in that window lands in an inbox nobody
-           reads again — close it here, after both sides have joined *)
-        Mutex.lock w.w_inbox_lock;
-        Queue.iter
-          (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-          w.w_inbox;
-        Queue.clear w.w_inbox;
-        Mutex.unlock w.w_inbox_lock;
         try Unix.close w.w_wake_w with Unix.Unix_error _ -> ())
       srv.workers;
+    (* only now: every worker polled the listeners until it exited, and
+       a closed fd number can come back as any new descriptor *)
+    List.iter close_listener srv.listeners;
     Pool.shutdown srv.pool;
     (* after the pool: no in-flight request can append anymore *)
     Option.iter Atlas.close srv.atlas;
-    List.iter
-      (function
-        | Unix_sock path, _ -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-        | Tcp _, _ -> ())
-      srv.listeners
+    (* last, so a vanished socket path means everything is released *)
+    List.iter unlink_listener srv.listeners
   end
 
 let run ?(on_ready = fun _ -> ()) cfg =
@@ -932,15 +910,9 @@ type client = {
 
 let connect ?(timeout = 30.0) addr =
   let fd =
-    match addr with
-    | Unix_sock path ->
-      let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX path);
-      fd
-    | Tcp (host, port) ->
-      let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_INET (resolve_host host, port));
-      fd
+    open_socket addr (fun fd sa ->
+        Unix.connect fd sa;
+        fd)
   in
   {
     c_cl_fd = fd;

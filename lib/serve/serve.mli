@@ -7,19 +7,23 @@
     graph form — never recomputes an equilibrium check it has already
     answered for an isomorphic graph.
 
-    {b Concurrency model.} An event-driven core: one accept thread per
-    listening address hands accepted sockets round-robin to a fixed set
-    of worker {e domains}, each running a level-triggered {!Poller}
-    (epoll on Linux, poll elsewhere) over its own set of non-blocking
-    connections. There is no per-connection thread; a worker owns its
-    connections exclusively, reads bounded chunks per wakeup (fair
-    across connections), and keeps one reusable read frame and write
-    buffer per connection. Clients may pipeline any number of request
-    lines; responses come back in request order because each worker
-    answers a connection's buffered lines synchronously, in arrival
-    order. When a connection's pending output exceeds
-    [write_high_water], the worker stops consuming its input (read
-    interest is paused) until the peer drains — a slow consumer
+    {b Concurrency model.} An event-driven core: a fixed set of worker
+    {e domains}, each running one level-triggered poll(2) loop
+    ({!Poller}) over its wake pipe, every listening socket and its own
+    non-blocking connections. Each worker accepts its own connections,
+    so a new client goes to whichever worker is waiting, not to one
+    busy with a long census shard or canonical search; a connection a
+    busy worker already owns still waits for it. When the process runs
+    out of descriptors, a worker stops watching the listeners for 50 ms
+    and keeps serving its connections. There is no per-connection
+    thread; a worker owns its connections exclusively, reads bounded
+    chunks per wakeup (fair across connections), and keeps one reusable
+    read frame and write buffer per connection. Clients may pipeline
+    any number of request lines; responses come back in request order
+    because each worker answers a connection's buffered lines
+    synchronously, in arrival order. When a connection's pending output
+    exceeds [write_high_water], the worker stops consuming its input
+    (read interest is paused) until the peer drains — a slow consumer
     backpressures itself without stalling its worker's other
     connections. Equilibrium checks dispatch onto the shared domain
     pool (one region at a time, a mutex serializes launchers); census
@@ -106,27 +110,26 @@ type t
 
 val start : config -> t
 (** Bind every address (stale Unix-socket paths are replaced), spawn the
-    pool, the worker domains and the accept threads, and return.
-    @raise Invalid_argument on an empty address list or nonsensical
-    limits; [Unix.Unix_error] if a bind fails. *)
+    pool and the worker domains, and return.
+    @raise Invalid_argument on an empty address list, nonsensical
+    limits or an unresolvable host; [Unix.Unix_error] if a bind fails.
+    Either way, the sockets already bound are closed and their paths
+    unlinked before the exception propagates. *)
 
 val bound_addresses : t -> address list
 (** Addresses actually bound — a [Tcp (_, 0)] request shows its
     resolved ephemeral port. *)
 
-val backend_name : t -> string
-(** The readiness backend the event loop runs on: ["epoll"] or
-    ["poll"]. *)
-
 val worker_count : t -> int
 (** Number of event-loop worker domains actually spawned. *)
 
 val stop : t -> unit
-(** Graceful shutdown: join the accept threads (no new connections),
-    wake every worker, let each answer the complete request lines it has
-    already received and flush pending replies (bounded), join the
-    worker domains, shut the pool down (domains joined), unlink
-    Unix-socket paths. Idempotent. *)
+(** Graceful shutdown: wake every worker, let each answer the complete
+    request lines it has already received and flush pending replies
+    (bounded), join the worker domains, close the listening sockets
+    (connections still in their backlog are reset), shut the pool down
+    (domains joined), close the atlas, and unlink Unix-socket paths
+    last. Idempotent. *)
 
 val run : ?on_ready:(t -> unit) -> config -> unit
 (** [start], call [on_ready] with the live server (e.g. to print
@@ -139,7 +142,9 @@ type client
 
 val connect : ?timeout:float -> address -> client
 (** [timeout] (default 30 s) bounds each {!call}'s wait for a reply
-    line. *)
+    line.
+    @raise Invalid_argument on an unresolvable host;
+    [Unix.Unix_error] if the connect fails. Neither leaks a descriptor. *)
 
 val call : client -> string -> string
 (** [call c line] sends one request line and returns the matching

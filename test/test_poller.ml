@@ -1,7 +1,6 @@
-(* Poller: readiness multiplexing over pipes — backend-agnostic (these
-   run against epoll on Linux CI, poll elsewhere; the semantics must be
-   identical), level-triggering, interest changes, removal, and the
-   one-shot waits that replaced Unix.select timeouts. *)
+(* Poller: readiness multiplexing over pipes — level-triggering,
+   interest changes, removal, and the one-shot waits that replaced
+   Unix.select timeouts. *)
 
 open Test_helpers
 
@@ -22,12 +21,6 @@ let write_byte fd = ignore (Unix.write_substring fd "x" 0 1)
 let drain fd =
   let b = Bytes.create 16 in
   ignore (Unix.read fd b 0 16)
-
-let test_backend_reported () =
-  with_poller @@ fun p ->
-  let b = Poller.backend p in
-  check_true "known backend" (b = "epoll" || b = "poll");
-  check_true "matches probe" (b = Poller.available_backend ())
 
 let test_timeout_and_readiness () =
   with_pipe @@ fun r w ->
@@ -123,7 +116,6 @@ let test_rejects_bad_args () =
 
 let suite =
   [
-    case "backend is reported" test_backend_reported;
     case "timeout, readiness, level-trigger" test_timeout_and_readiness;
     case "write interest and modify" test_write_interest_and_modify;
     case "remove deregisters" test_remove;

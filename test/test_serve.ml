@@ -698,8 +698,6 @@ let test_e2e_stats_evloop () =
   let srv = Serve.start cfg in
   Fun.protect ~finally:(fun () -> Serve.stop srv) @@ fun () ->
   check_int "worker_count" 2 (Serve.worker_count srv);
-  check_true "backend name"
-    (Serve.backend_name srv = "epoll" || Serve.backend_name srv = "poll");
   Serve.with_client (Serve.Unix_sock sock) @@ fun c ->
   (* some pipelined traffic so the depth histogram has mass *)
   for i = 0 to 9 do
@@ -715,8 +713,6 @@ let test_e2e_stats_evloop () =
     | Error msg -> Alcotest.failf "stats reply unparseable: %s" msg
   in
   let ev = Option.get (Jsonx.member "evloop" result) in
-  check_true "backend advertised"
-    (Jsonx.member "backend" ev = Some (Jsonx.Str (Serve.backend_name srv)));
   check_true "workers advertised" (Jsonx.member "workers" ev = Some (Jsonx.Int 2));
   (match Option.bind (Jsonx.member "wakeups" ev) Jsonx.to_int with
   | Some w when w > 0 -> ()
@@ -758,6 +754,124 @@ let test_e2e_stats_evloop () =
     check_true "shard hits/misses reported" (sum "hits" + sum "misses" >= 0)
   | _ -> Alcotest.fail "stats cache lacks shards"
 
+let pong id = Printf.sprintf "{\"id\":%d,\"ok\":true,\"result\":\"pong\"}" id
+
+let ping c id =
+  check_str "pong" (pong id)
+    (Serve.call c (Printf.sprintf "{\"id\":%d,\"method\":\"ping\"}" id))
+
+let test_e2e_idle_worker_accepts () =
+  (* A keeps its worker busy with a long census shard; a client C that
+     connects meanwhile must be accepted by the idle worker, not queued
+     behind A's shard. B is there so that handing connections out
+     round-robin would give C to A's worker. *)
+  let sock = temp_sock "idle" in
+  let srv = Serve.start { (e2e_config sock) with Serve.workers = 2; jobs = 1 } in
+  Fun.protect ~finally:(fun () -> Serve.stop srv) @@ fun () ->
+  let addr = Serve.Unix_sock sock in
+  Serve.with_client addr @@ fun a ->
+  Serve.with_client addr @@ fun b ->
+  ping a 1;
+  ping b 2;
+  Serve.send_line a
+    (Printf.sprintf
+       "{\"id\":3,\"method\":\"census-shard\",\"params\":{\"kind\":\"orderly\",\"game\":\"max\",\"n\":8,\"lo\":0,\"hi\":%d}}"
+       (Orderly.space 8));
+  let census_reply = ref "" in
+  let census_at = ref infinity in
+  let reader =
+    Thread.create
+      (fun () ->
+        census_reply := Serve.recv_line a;
+        census_at := Unix.gettimeofday ())
+      ()
+  in
+  Thread.delay 0.1;
+  let pong_at =
+    Serve.with_client addr (fun c ->
+        ping c 4;
+        Unix.gettimeofday ())
+  in
+  Thread.join reader;
+  check_true "census shard answered"
+    (String.starts_with ~prefix:"{\"id\":3,\"ok\":true," !census_reply);
+  check_true "the new client's pong came before the census reply"
+    (pong_at < !census_at)
+
+let test_e2e_unix_and_tcp_listeners () =
+  let sock = temp_sock "tcp" in
+  let cfg =
+    {
+      (e2e_config sock) with
+      Serve.addresses = [ Serve.Unix_sock sock; Serve.Tcp ("127.0.0.1", 0) ];
+    }
+  in
+  let srv = Serve.start cfg in
+  Fun.protect ~finally:(fun () -> Serve.stop srv) @@ fun () ->
+  let tcp =
+    match Serve.bound_addresses srv with
+    | [ Serve.Unix_sock _; (Serve.Tcp (_, port) as tcp) ] ->
+      check_true "ephemeral port resolved" (port > 0);
+      tcp
+    | _ -> Alcotest.fail "expected the unix and the tcp address, in order"
+  in
+  let expected = [ pong 1; expected_check ~id:2 Game.Sum star9 ] in
+  List.iter
+    (fun addr ->
+      Serve.with_client addr @@ fun c ->
+      List.iter2 (check_str "reply")
+        expected
+        [
+          Serve.call c "{\"id\":1,\"method\":\"ping\"}";
+          Serve.call c (check_request ~id:2 "sum" star9);
+        ])
+    [ Serve.Unix_sock sock; tcp ]
+
+external fd_int : Unix.file_descr -> int = "%identity"
+
+(* the lowest free descriptor number: what the next socket would get *)
+let next_free_fd () =
+  let fd = Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+  Unix.close fd;
+  fd_int fd
+
+let test_failed_start_releases_listeners () =
+  let a = temp_sock "failed-start" in
+  let cfg =
+    {
+      (e2e_config a) with
+      Serve.addresses =
+        [ Serve.Unix_sock a; Serve.Unix_sock "/nonexistent/dir/b.sock" ];
+    }
+  in
+  let before = next_free_fd () in
+  Alcotest.check_raises "second bind fails"
+    (Unix.Unix_error (Unix.ENOENT, "bind", ""))
+    (fun () -> ignore (Serve.start cfg));
+  check_int "no descriptor leaked" before (next_free_fd ());
+  check_false "first socket path removed" (Sys.file_exists a)
+
+let test_failed_connect_closes_socket () =
+  (* Dispatch reconnects after every failed shard: a leak here costs one
+     descriptor per attempt against a dead worker *)
+  let missing = Filename.concat (temp_sock "no-such-dir") "x.sock" in
+  let before = next_free_fd () in
+  List.iter
+    (fun addr ->
+      for _ = 1 to 5 do
+        match Serve.connect addr with
+        | c ->
+          Serve.close_client c;
+          Alcotest.failf "connect to %a succeeded" Serve.pp_address addr
+        | exception (Unix.Unix_error _ | Invalid_argument _) -> ()
+      done)
+    [
+      Serve.Unix_sock missing;
+      Serve.Tcp ("127.0.0.1", 1);
+      Serve.Tcp ("no-such-host.invalid", 5);
+    ];
+  check_int "no descriptor leaked" before (next_free_fd ())
+
 let suite =
   [
     case "jsonx: roundtrip" test_jsonx_roundtrip;
@@ -780,4 +894,8 @@ let suite =
     case "e2e: stats reports event-loop telemetry" test_e2e_stats_evloop;
     case "e2e: 16-vertex star, as given and relabeled" test_e2e_star16;
     case "e2e: exact text probed before the canonical form" test_e2e_exact_key_before_canon;
+    case "e2e: an idle worker takes the new connection" test_e2e_idle_worker_accepts;
+    case "e2e: unix and tcp listeners answer alike" test_e2e_unix_and_tcp_listeners;
+    case "e2e: a failed start releases its listeners" test_failed_start_releases_listeners;
+    case "client: a failed connect leaks no descriptor" test_failed_connect_closes_socket;
   ]
