@@ -155,7 +155,7 @@ let generate family n k dim seed edges_out =
   let rng = Prng.create seed in
   let need_n what = match n with
     | Some n -> n
-    | None -> invalid_arg (Printf.sprintf "--n is required for %s" what)
+    | None -> invalid_arg (Printf.sprintf "-n is required for %s" what)
   in
   let g =
     match family with
@@ -192,7 +192,12 @@ let generate_cmd =
       & pos 0 (some (enum generate_families)) None
       & info [] ~docv:"FAMILY" ~doc)
   in
-  let n = Arg.(value & opt (some int) None & info [ "n" ] ~doc:"Vertex count.") in
+  let n =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "n" ] ~doc:"Vertex count; for hypercube, the dimension (Q_n has 2^n vertices).")
+  in
   let k =
     Arg.(value & opt int 3 & info [ "k" ] ~doc:"Family parameter (torus k, polarity q, double-star second arm, ...).")
   in

@@ -2,54 +2,74 @@ let max_search_vertices = 16
 
 (* --- color refinement ----------------------------------------------- *)
 
+(* Each round ranks the vertices by (color, sorted neighbour colors).
+   The neighbour ids sit in a CSR. A round writes each vertex's
+   neighbour colors into its slice, visiting the neighbours in [order],
+   which is sorted by color, so every slice comes out sorted. It then
+   insertion-sorts [order] by (color, slice), which moves vertices only
+   within their color class, and hands out dense ranks along it.
+   Starting from one class, round 0 ranks by degree: the all-zero
+   slices order by length. *)
 let refine g =
   let n = Graph.n g in
-  let color = Array.make n 0 in
-  (* initial color: degree *)
+  let off = Array.make (n + 1) 0 in
   for v = 0 to n - 1 do
-    color.(v) <- Graph.degree g v
+    off.(v + 1) <- off.(v) + Graph.degree g v
   done;
-  let dense c =
-    (* remap colors to 0..k-1, ordered by their signature so the result is
-       label-independent *)
-    let sorted = Array.copy c in
-    Array.sort compare sorted;
-    let tbl = Hashtbl.create n in
-    let next = ref 0 in
-    Array.iter
-      (fun x ->
-        if not (Hashtbl.mem tbl x) then begin
-          Hashtbl.add tbl x !next;
-          incr next
-        end)
-      sorted;
-    Array.map (Hashtbl.find tbl) c, !next
-  in
-  let color, k0 = dense color in
-  let color = ref color and k = ref k0 in
-  let stable = ref false in
-  while not !stable do
-    let signature v =
-      let neigh = Graph.fold_neighbors (fun acc w -> !color.(w) :: acc) [] g v in
-      (!color.(v), List.sort compare neigh)
-    in
-    let sigs = Array.init n signature in
-    (* hash-cons signatures into new dense colors, ordered by signature *)
-    let distinct = Hashtbl.create n in
-    Array.iter (fun s -> if not (Hashtbl.mem distinct s) then Hashtbl.add distinct s ()) sigs;
-    let keys = Hashtbl.fold (fun s () acc -> s :: acc) distinct [] in
-    let keys = List.sort compare keys in
-    let rank = Hashtbl.create n in
-    List.iteri (fun i s -> Hashtbl.add rank s i) keys;
-    let next = Array.map (Hashtbl.find rank) sigs in
-    let k' = List.length keys in
-    if k' = !k then stable := true
+  let nbr = Array.make off.(n) 0 and slot = Array.make off.(n) 0 in
+  for v = 0 to n - 1 do
+    for i = 0 to Graph.degree g v - 1 do
+      nbr.(off.(v) + i) <- Graph.nth_neighbor g v i
+    done
+  done;
+  let color = Array.make n 0 and next = Array.make n 0 and fill = Array.make n 0 in
+  let order = Array.init n Fun.id in
+  (* by color, then by slice, lexicographically, a prefix first *)
+  let cmp u v =
+    if color.(u) <> color.(v) then color.(u) - color.(v)
     else begin
-      color := next;
-      k := k'
+      let i = ref off.(u) and j = ref off.(v) in
+      while !i < off.(u + 1) && !j < off.(v + 1) && slot.(!i) = slot.(!j) do
+        incr i;
+        incr j
+      done;
+      if !i < off.(u + 1) && !j < off.(v + 1) then slot.(!i) - slot.(!j)
+      else off.(u + 1) - !i - (off.(v + 1) - !j)
+    end
+  in
+  let classes = ref 1 and grew = ref true in
+  while !grew do
+    Array.blit off 0 fill 0 n;
+    for p = 0 to n - 1 do
+      let w = order.(p) in
+      for i = off.(w) to off.(w + 1) - 1 do
+        let v = nbr.(i) in
+        slot.(fill.(v)) <- color.(w);
+        fill.(v) <- fill.(v) + 1
+      done
+    done;
+    for p = 1 to n - 1 do
+      let v = order.(p) and q = ref p in
+      while !q > 0 && cmp order.(!q - 1) v > 0 do
+        order.(!q) <- order.(!q - 1);
+        decr q
+      done;
+      order.(!q) <- v
+    done;
+    let rank = ref 0 in
+    for p = 0 to n - 1 do
+      if p > 0 && cmp order.(p - 1) order.(p) <> 0 then incr rank;
+      next.(order.(p)) <- !rank
+    done;
+    (* a round only splits classes, so an unchanged count is a fixpoint,
+       and there [next] = [color] *)
+    grew := !rank + 1 > !classes;
+    if !grew then begin
+      Array.blit next 0 color 0 n;
+      classes := !rank + 1
     end
   done;
-  !color
+  color
 
 (* --- the search ---------------------------------------------------------- *)
 

@@ -18,9 +18,21 @@ val max_search_vertices : int
     mask. *)
 
 val refine : Graph.t -> int array
-(** Stable coloring from iterated neighborhood refinement; color ids are
-    dense in [\[0, k)] and sorted by class signature. Isomorphic graphs get
-    identical color histograms. Works for any size. *)
+(** Stable coloring from iterated neighborhood refinement, with color ids
+    dense in [\[0, k)]. Isomorphic graphs get identical color histograms.
+    The order of the ids is part of the contract:
+    - the initial classes are the degrees, ascending;
+    - each round ranks the vertices by (color, ascending list of
+      neighbour colors), compared lexicographically, a list that is a
+      prefix of another first;
+    - it stops when a round leaves the class count unchanged.
+
+    {!cert}'s candidate order, and so [form], follow this order. So do
+    both atlas key spaces (serve's keys are [form] bytes, the census's
+    the graph6 of {!Orderly}'s generated copies) and the orderly
+    census's shard rank space; [test_orderly]'s emission digests pin all
+    of them. Works for any size: a round is O(n + m) plus an insertion
+    sort within each color class. *)
 
 val canonical_form : Graph.t -> string
 (** [(cert g).form]: equal iff the graphs are isomorphic (for graphs

@@ -1,4 +1,59 @@
-(* Test oracle for [Canon.cert]: the same lex-min search without
+(* Test oracles for [Canon], sharing none of its code. *)
+
+(* Oracle for [Canon.refine]: the same rounds over lists and hash
+   tables. Each round conses and sorts every vertex's neighbour-color
+   list, hash-conses the (color, list) signatures and ranks them by
+   polymorphic compare. *)
+let refine g =
+  let n = Graph.n g in
+  let color = Array.make n 0 in
+  (* initial color: degree *)
+  for v = 0 to n - 1 do
+    color.(v) <- Graph.degree g v
+  done;
+  let dense c =
+    (* remap colors to 0..k-1, ordered by their signature so the result is
+       label-independent *)
+    let sorted = Array.copy c in
+    Array.sort compare sorted;
+    let tbl = Hashtbl.create n in
+    let next = ref 0 in
+    Array.iter
+      (fun x ->
+        if not (Hashtbl.mem tbl x) then begin
+          Hashtbl.add tbl x !next;
+          incr next
+        end)
+      sorted;
+    Array.map (Hashtbl.find tbl) c, !next
+  in
+  let color, k0 = dense color in
+  let color = ref color and k = ref k0 in
+  let stable = ref false in
+  while not !stable do
+    let signature v =
+      let neigh = Graph.fold_neighbors (fun acc w -> !color.(w) :: acc) [] g v in
+      (!color.(v), List.sort compare neigh)
+    in
+    let sigs = Array.init n signature in
+    (* hash-cons signatures into new dense colors, ordered by signature *)
+    let distinct = Hashtbl.create n in
+    Array.iter (fun s -> if not (Hashtbl.mem distinct s) then Hashtbl.add distinct s ()) sigs;
+    let keys = Hashtbl.fold (fun s () acc -> s :: acc) distinct [] in
+    let keys = List.sort compare keys in
+    let rank = Hashtbl.create n in
+    List.iteri (fun i s -> Hashtbl.add rank s i) keys;
+    let next = Array.map (Hashtbl.find rank) sigs in
+    let k' = List.length keys in
+    if k' = !k then stable := true
+    else begin
+      color := next;
+      k := k'
+    end
+  done;
+  !color
+
+(* Oracle for [Canon.cert]: the same lex-min search without
    automorphism pruning. It prunes only by the column compare, so it
    visits every one of a graph's |Aut| optimal leaves — fine for small or
    asymmetric graphs, hopeless for a 16-vertex star. Two labelings
@@ -19,7 +74,7 @@ let cert g =
   if n = 0 then
     { form = ""; perm = [||]; aut_count = 1; position_vertices = [||] }
   else begin
-    let color = Canon.refine g in
+    let color = refine g in
     let target =
       let sorted = Array.copy color in
       Array.sort compare sorted;

@@ -208,6 +208,37 @@ let test_symmetric_node_counts () =
   check_true "relabeled star 16: <= 256 nodes" (search_nodes star <= 256);
   check_true "K16: <= 256 nodes" (search_nodes (Generators.complete 16) <= 256)
 
+(* --- refine against its oracle ----------------------------------------------- *)
+
+let check_refine what g =
+  check_int_array
+    (Printf.sprintf "%s %S: refine" what (Graph6.encode g))
+    (Canon_oracle.refine g) (Canon.refine g)
+
+let check_refine_classes n =
+  let rng = Prng.create n in
+  Orderly.iter n (fun g _ ->
+      let perm = Array.init n Fun.id in
+      Prng.shuffle_in_place rng perm;
+      check_refine "class" g;
+      check_refine "relabeled class" (relabel g perm))
+
+(* every class up to n = 7, the empty graph, and seeded G(n, p) up to
+   n = 60 with p skewed low, so many are disconnected *)
+let test_refine_oracle_small () =
+  for n = 1 to 7 do
+    check_refine_classes n
+  done;
+  check_refine "empty" (Graph.create 0);
+  let rng = Prng.create 60 in
+  for _ = 1 to 2000 do
+    let n = Prng.int rng 61 in
+    let p = Prng.float rng 1.0 ** 3. in
+    check_refine "G(n, p)" (Random_graphs.gnp rng n p)
+  done
+
+let test_refine_oracle_n8 () = check_refine_classes 8
+
 let suite =
   [
     case "refine splits degrees" test_refine_splits_degrees;
@@ -228,4 +259,7 @@ let suite =
     case "symmetric families: closed-form |Aut|, one form per class" test_families_closed_form;
     slow_case "symmetric families = oracle below 9! automorphisms" test_families_oracle;
     case "16-vertex star and K16 in few search nodes" test_symmetric_node_counts;
+    case "refine = oracle: classes (n <= 7) relabeled too, empty, G(n, p) to n = 60"
+      test_refine_oracle_small;
+    slow_case "refine = oracle on every class (n = 8), relabeled too" test_refine_oracle_n8;
   ]

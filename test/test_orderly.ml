@@ -77,6 +77,45 @@ let test_rejects_out_of_range () =
   Alcotest.check_raises "bad range" (Invalid_argument "Orderly.iter")
     (fun () -> Orderly.iter ~lo:2 ~hi:1 5 (fun _ _ -> ()))
 
+(* Canonical forms and emission order, pinned: the MD5 of one line
+   "<graph6> <form>" per class, in emission order. Census stdout is
+   label-invariant, so it cannot see a change to [Canon.refine]'s color
+   order; these digests do. [form] bytes key serve's atlas, the
+   generated copies' graph6 key the census atlas, and the emission order
+   at level 6 is the shard rank space a census journal replays. Recorded
+   at 56ec915. *)
+let emission_digests =
+  [|
+    "";
+    "5fed3a0429848480dd6efae1891cab04";
+    "ec8f587a9825b6c1938dfdd4aeb7540a";
+    "a1c22f383101d57a21a1357b7d88bcec";
+    "45ac7b91494742fdca7584b2041654cf";
+    "9157b35f0053ad6e1cc60c6643d85274";
+    "58972606131c2f34647040e504fd285b";
+    "280aa483c3993cfa9351ab7371a7ddc4";
+    "a5cef46eefac876d9fc8b2fb95629fa2";
+  |]
+
+let check_emission_digest n =
+  let b = Buffer.create 4096 in
+  Orderly.iter n (fun g cert ->
+      Buffer.add_string b (Graph6.encode g);
+      Buffer.add_char b ' ';
+      Buffer.add_string b cert.Canon.form;
+      Buffer.add_char b '\n');
+  Alcotest.(check string)
+    (Printf.sprintf "n = %d emission digest" n)
+    emission_digests.(n)
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let test_emission_digests_small () =
+  for n = 1 to 7 do
+    check_emission_digest n
+  done
+
+let test_emission_digest_n8 () = check_emission_digest 8
+
 (* Certificate sanity over random connected graphs: the permutation is a
    bijection mapping the graph onto its canonical copy, |Aut| divides n!,
    and each position's orbit mask contains the vertex the optimal
@@ -173,4 +212,6 @@ let suite =
     qcheck "min-mask exact on random connected graphs (n <= 8)"
       (gen_connected ~min_n:1 ~max_n:8)
       min_mask_exact;
+    case "forms and emission order pinned (n <= 7)" test_emission_digests_small;
+    slow_case "forms and emission order pinned (n = 8)" test_emission_digest_n8;
   ]
