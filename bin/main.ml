@@ -286,6 +286,21 @@ let dynamics_exact game n init seed max_rounds trace =
   end;
   `Ok ()
 
+(* The scale generators' preconditions, in the flags that set them. *)
+let scale_gen_error gen n ba_m er_deg ws_k ws_beta =
+  let fail fmt = Printf.ksprintf Option.some fmt in
+  match gen with
+  | `Ba when ba_m < 1 || ba_m >= n ->
+    fail "--gen ba needs 1 <= --ba-m < -n (got --ba-m %d, -n %d)" ba_m n
+  | `Er when n < 2 -> fail "--gen er needs -n >= 2 (got -n %d)" n
+  | `Er when er_deg < 0. -> fail "--er-deg must be >= 0 (got %g)" er_deg
+  | `Ws when ws_k < 1 || (2 * ws_k) + 1 > n ->
+    fail "--gen ws needs 1 <= --ws-k and 2 * --ws-k + 1 <= -n (got --ws-k %d, -n %d)"
+      ws_k n
+  | `Ws when ws_beta < 0. || ws_beta > 1. ->
+    fail "--ws-beta must be in [0, 1] (got %g)" ws_beta
+  | _ -> None
+
 (* The large-n engine: generate a family snapshot straight into CSR, run
    the sampled best-response dynamics over the Flexcsr arena. All
    randomness (generator rows, run stream, trajectory sources) derives
@@ -367,14 +382,17 @@ let dynamics engine game n init gen seed max_rounds jobs budget probes
           "--engine scale supports only the basic games (sum, max); got %s \
            (use --engine exact)"
           (Game.to_string game) )
-  | `Scale ->
-    (* one round = --probes sampled probes; at n = 10^6 a round of 32
-       probes is ~2 minutes on one core, so the default keeps the bare
-       command under an hour *)
-    let max_rounds = if max_rounds = 0 then 24 else max_rounds in
-    dynamics_scale game n gen seed max_rounds jobs budget probes patience
-      exact_confirm window ba_m er_deg ws_k ws_beta traj_every traj_sources
-      trace
+  | `Scale -> (
+    match scale_gen_error gen n ba_m er_deg ws_k ws_beta with
+    | Some msg -> `Error (false, msg)
+    | None ->
+      (* one round = --probes sampled probes; at n = 10^6 a round of 32
+         probes takes about 110 s on one core, so the default 24 rounds
+         keep the bare command under an hour *)
+      let max_rounds = if max_rounds = 0 then 24 else max_rounds in
+      dynamics_scale game n gen seed max_rounds jobs budget probes patience
+        exact_confirm window ba_m er_deg ws_k ws_beta traj_every traj_sources
+        trace)
 
 let dynamics_cmd =
   let engine =

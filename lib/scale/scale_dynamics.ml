@@ -18,6 +18,10 @@ let m_exact = Telemetry.counter "scale.dynamics.exact_evals"
 
 let m_bfs = Telemetry.counter "scale.dynamics.bfs_runs"
 
+let m_bound = Telemetry.span "scale.dynamics.bound"
+
+let m_exact_bfs = Telemetry.span "scale.dynamics.exact"
+
 type confirm = Exact_scan | Quiescence of int
 
 type config = {
@@ -95,13 +99,18 @@ let run ?pool ?rng cfg csr =
   let reached0, _, _ = Flexcsr.bfs_stats fx 0 ~dist:dist_v ~queue in
   if reached0 < n then invalid_arg "Scale_dynamics.run: input must be connected";
   let bsc = Bitbfs.create_scratch n in
-  (* drop rows of the bound batch, allocated lazily and reused per probe *)
-  let rows = Array.make (max cfg.budget 1) [||] in
-  let row_base = Array.make (max cfg.budget 1) 0 in
+  (* drop rows of the bound batch, allocated lazily and reused per probe;
+     a probe has at most [budget] distinct drops (slots) *)
+  let rows = Array.make cfg.budget [||] in
+  let row_base = Array.make cfg.budget 0 in
   let get_row slot =
     if Array.length rows.(slot) < n then rows.(slot) <- Array.make n (-1);
     rows.(slot)
   in
+  (* per bound batch: each slot's source bits and the (slot, bit) ->
+     candidate table, grown to the most slots a probe has used *)
+  let slot_mask = Array.make cfg.budget 0 in
+  let slot_cand = ref [||] in
   let inf = Usage_cost.infinite in
   (* rolling edge-set fingerprint: XOR of per-edge hashes, O(1) per move *)
   let edge_hash a b =
@@ -216,6 +225,7 @@ let run ?pool ?rng cfg csr =
           let cand_drop = Array.make cfg.budget 0 in
           let cand_add = Array.make cfg.budget 0 in
           let cand_slot = Array.make cfg.budget 0 in
+          let cand_src = Array.make cfg.budget 0 in
           let cand_delta = Array.make cfg.budget max_int in
           let acc = Array.make cfg.budget 0 in
           let cand_key = Hashtbl.create 32 in
@@ -241,8 +251,11 @@ let run ?pool ?rng cfg csr =
           if !ncand = 0 then None
           else begin
             if version = Usage_cost.Sum then begin
-              (* one BFS per distinct drop: distances from v in G − vw,
-                 folded into base = Σ_u min(dd_w(u), 2 + d_v(u)) *)
+              let t0 = Telemetry.start () in
+              (* one BFS per distinct drop w: distances from v in G − vw,
+                 stored in the drop's row as a_w(u) = min(dd_w(u),
+                 2 + d_v(u)) and summed into the base; G is connected,
+                 so d_v(u) >= 0 and every a_w(u) is finite *)
               let drop_slot = Hashtbl.create 8 in
               let nrows = ref 0 in
               for c = 0 to !ncand - 1 do
@@ -254,59 +267,84 @@ let run ?pool ?rng cfg csr =
                   incr nrows;
                   Hashtbl.add drop_slot w slot;
                   cand_slot.(c) <- slot;
-                  let dd = get_row slot in
-                  let _ = Flexcsr.bfs_delete_stats fx v ~drop:w ~dist:dd ~queue in
+                  let a = get_row slot in
+                  let _ = Flexcsr.bfs_delete_stats fx v ~drop:w ~dist:a ~queue in
                   Telemetry.incr m_bfs;
                   let b = ref 0 in
                   for u = 0 to n - 1 do
-                    let ddu = dd.(u) in
-                    let ddu = if ddu < 0 then inf else ddu in
-                    b := !b + min ddu (2 + dist_v.(u))
+                    let cap = 2 + dist_v.(u) in
+                    let dd = a.(u) in
+                    if dd < 0 || dd > cap then a.(u) <- cap;
+                    b := !b + a.(u)
                   done;
                   row_base.(slot) <- !b);
                 acc.(c) <- row_base.(cand_slot.(c))
               done;
-              (* one bit-parallel batch over the distinct adds refines the
-                 base with min(·, 1 + d(x,u)) as the waves arrive *)
+              let nrows = !nrows in
+              if Array.length !slot_cand < nrows * Bitbfs.max_sources then
+                slot_cand := Array.make (nrows * Bitbfs.max_sources) 0;
+              let slot_cand = !slot_cand in
+              (* the distinct adds are the sources of the bit-parallel
+                 batches *)
               let src_of_add = Hashtbl.create 32 in
               let srcs = Array.make !ncand 0 in
               let nsrc = ref 0 in
-              let cands_by_src = Array.make !ncand [] in
               for c = 0 to !ncand - 1 do
                 let x = cand_add.(c) in
-                let si =
-                  match Hashtbl.find_opt src_of_add x with
+                cand_src.(c) <-
+                  (match Hashtbl.find_opt src_of_add x with
                   | Some si -> si
                   | None ->
                     let si = !nsrc in
                     incr nsrc;
                     Hashtbl.add src_of_add x si;
                     srcs.(si) <- x;
-                    si
-                in
-                cands_by_src.(si) <- c :: cands_by_src.(si)
+                    si)
               done;
               let pos = ref 0 in
               while !pos < !nsrc do
-                let k = min Bitbfs.max_sources (!nsrc - !pos) in
-                let base_i = !pos in
+                let lo = !pos in
+                let k = min Bitbfs.max_sources (!nsrc - lo) in
+                (* a drop slot's mask has bit i when the batch's source i
+                   is the add of one of the slot's candidates, found at
+                   slot_cand.(slot * max_sources + i) *)
+                Array.fill slot_mask 0 nrows 0;
+                for c = 0 to !ncand - 1 do
+                  let i = cand_src.(c) - lo in
+                  if i >= 0 && i < k then begin
+                    let s = cand_slot.(c) in
+                    slot_mask.(s) <- slot_mask.(s) lor (1 lsl i);
+                    slot_cand.((s * Bitbfs.max_sources) + i) <- c
+                  end
+                done;
+                (* source x first reaches u at wave = d(x,u), so the new
+                   edge vx lowers the bound's u-term from a_w(u) to
+                   1 + wave when that is smaller. Past wave d_v(u),
+                   1 + wave >= 2 + d_v(u) >= a_w(u): nothing to lower *)
                 Bitbfs.run ?pool bsc fx
-                  ~sources:(Array.sub srcs base_i k)
+                  ~sources:(Array.sub srcs lo k)
                   ~visit:(fun u wave bits ->
-                    Bitbfs.iter_bits
-                      (fun i ->
-                        List.iter
-                          (fun c ->
-                            let dd = rows.(cand_slot.(c)) in
-                            let ddu = dd.(u) in
-                            let ddu = if ddu < 0 then inf else ddu in
-                            let a = min ddu (2 + dist_v.(u)) in
-                            let b = min a (1 + wave) in
-                            acc.(c) <- acc.(c) + b - a)
-                          cands_by_src.(base_i + i))
-                      bits);
-                pos := !pos + k
-              done
+                    if wave <= dist_v.(u) then
+                      for s = 0 to nrows - 1 do
+                        let m = bits land slot_mask.(s) in
+                        if m <> 0 then begin
+                          let g = rows.(s).(u) - 1 - wave in
+                          if g > 0 then begin
+                            let m = ref m and t = ref (s * Bitbfs.max_sources) in
+                            while !m <> 0 do
+                              if !m land 1 <> 0 then begin
+                                let c = slot_cand.(!t) in
+                                acc.(c) <- acc.(c) - g
+                              end;
+                              m := !m lsr 1;
+                              incr t
+                            done
+                          end
+                        end
+                      done);
+                pos := lo + k
+              done;
+              Telemetry.stop m_bound t0
             end;
             (* decide in draw order under the running cutoff, exactly as
                Dynamics.sampled_move does through Swap_eval.delta_below *)
@@ -329,10 +367,12 @@ let run ?pool ?rng cfg csr =
                       if cand_delta.(c) <> max_int then cand_delta.(c)
                       else begin
                         let drop = cand_drop.(c) and add = cand_add.(c) in
+                        let t0 = Telemetry.start () in
                         let reached, s, e =
                           Flexcsr.bfs_swap_stats fx v ~drop ~add ~dist:dist_x
                             ~queue
                         in
+                        Telemetry.stop m_exact_bfs t0;
                         Telemetry.incr m_bfs;
                         Telemetry.incr m_exact;
                         let d = after_cost reached s e - cost_v in

@@ -14,12 +14,18 @@
       Random_agent }] move-for-move, delta-for-delta — the differential
       test anchor;
     - {b batched certified bounds} (sum version): for a probe's candidate
-      set, one scalar BFS per distinct drop and one bit-parallel
-      {!Bitbfs} batch over the distinct adds yield a sound lower bound
+      set, one scalar BFS per distinct drop and bit-parallel {!Bitbfs}
+      batches over the distinct adds yield a sound lower bound
       [Σ_u min(dd_w(u), 1 + d(x,u), 2 + d(v,u))] on the actor's
-      post-swap cost; candidates whose bound already meets the cutoff are
-      skipped with no further work, the rest fall back to one exact
-      mutation-free BFS ({!Flexcsr.bfs_swap_stats});
+      post-swap cost. The first two terms alone are a lower bound; the
+      third only weakens it, but keeps every term finite and lets the
+      batches ignore a vertex [u] once the wave passes [d(v,u)]. Each
+      drop's row holds [a_w(u) = min(dd_w(u), 2 + d(v,u))]; the batch
+      visit lowers a candidate's sum by [a_w(u) − 1 − d(x,u)] where that
+      is positive, through a per-drop mask of the batch's source bits
+      and a (drop, bit) → candidate table. Candidates whose bound already
+      meets the cutoff are skipped with no further work, the rest fall
+      back to one exact mutation-free BFS ({!Flexcsr.bfs_swap_stats});
     - {b rolling state fingerprint}: an XOR of per-edge hashes updated in
       O(1) per move detects revisited states over a bounded [window] of
       recent states (deletions strictly shrink the edge set and never
@@ -33,7 +39,9 @@
     a certificate — see DESIGN.md "Large-n dynamics".
 
     Telemetry (under [scale.dynamics.*]): probes, moves, deletions,
-    rounds, certified skips, exact evaluations, scalar BFS runs. *)
+    rounds, certified skips, exact evaluations, scalar BFS runs; the
+    spans [bound] (a sum probe's drop rows and batches) and [exact] (one
+    exact evaluation of a sampled candidate). *)
 
 type confirm =
   | Exact_scan

@@ -255,8 +255,7 @@ let scale_cfg_of version budget max_rounds =
     record_trace = true;
   }
 
-let run_both version budget seed g =
-  let max_rounds = 50 in
+let run_both ?(max_rounds = 50) version budget seed g =
   let exact_cfg =
     {
       (Dynamics.default_config version) with
@@ -275,8 +274,8 @@ let run_both version budget seed g =
   in
   (r1, r2)
 
-let check_differential version budget seed g =
-  let r1, r2 = run_both version budget seed g in
+let check_differential ?max_rounds version budget seed g =
+  let r1, r2 = run_both ?max_rounds version budget seed g in
   check_true "outcome" (r1.Dynamics.outcome = r2.Scale_dynamics.outcome);
   check_int "rounds" r1.Dynamics.rounds r2.Scale_dynamics.rounds;
   check_int "moves" r1.Dynamics.moves r2.Scale_dynamics.moves;
@@ -309,6 +308,81 @@ let test_differential_larger_budget () =
     let g = connected_graph (200 + seed) 8 10 in
     check_differential Game.Sum 64 seed g
   done
+
+(* [traced metrics f] runs [f] with telemetry on and returns how much
+   each of [metrics] rose meanwhile. *)
+let traced metrics f =
+  let was = Telemetry.enabled () in
+  Telemetry.set_enabled true;
+  let before = List.map (fun get -> get ()) metrics in
+  Fun.protect ~finally:(fun () -> Telemetry.set_enabled was) (fun () -> ignore (f ()));
+  List.map2 (fun get b -> get () - b) metrics before
+
+let counter name () = Telemetry.counter_value (Telemetry.counter name)
+
+let span_calls name () = Telemetry.span_count (Telemetry.span name)
+
+let test_differential_multi_batch () =
+  (* budget 100 at n = 150 gives most probes more than Bitbfs.max_sources
+     distinct adds, so the bound runs a second batch with its own slot
+     masks. The skip/evaluation split is pinned: a weaker or a tighter
+     bound fails here even when the moves do not change. *)
+  List.iter
+    (fun (seed, skips, evals) ->
+      let g = Csr.to_graph (Scale_gen.ba ~seed ~n:150 ~m:2) in
+      match
+        traced
+          [
+            counter "scale.dynamics.probes";
+            counter "scale.bitbfs.runs";
+            counter "scale.dynamics.certified_skips";
+            counter "scale.dynamics.exact_evals";
+          ]
+          (fun () -> check_differential ~max_rounds:2 Game.Sum 100 seed g)
+      with
+      | [ probes; runs; certified; exact ] ->
+        check_true "second batches ran" (runs > probes);
+        check_int "certified skips" skips certified;
+        check_int "exact evaluations" evals exact
+      | _ -> assert false)
+    [ (1, 28169, 740); (2, 28194, 611); (3, 28206, 697); (4, 28095, 719) ]
+
+let test_spans () =
+  (* the bound span times the drop rows and the batches of every sum
+     probe that has a candidate; the exact span times each exact
+     evaluation. Max probes evaluate exactly and have no bound. *)
+  let csr = Scale_gen.ba ~seed:5 ~n:300 ~m:2 in
+  let run game =
+    let cfg =
+      {
+        (Scale_dynamics.default_config game) with
+        Scale_dynamics.budget = 8;
+        probes_per_round = 32;
+        max_rounds = 2;
+        confirm = Scale_dynamics.Quiescence max_int;
+        trajectory_sources = 0;
+      }
+    in
+    match
+      traced
+        [
+          span_calls "scale.dynamics.bound";
+          span_calls "scale.dynamics.exact";
+          counter "scale.dynamics.exact_evals";
+        ]
+        (fun () -> Scale_dynamics.run ~rng:(Prng.create 5) cfg csr)
+    with
+    | [ bound; exact; evals ] -> (bound, exact, evals)
+    | _ -> assert false
+  in
+  let bound, exact, evals = run Game.Sum in
+  check_true "sum: bound calls" (bound > 0);
+  check_true "sum: exact calls" (exact > 0);
+  check_int "sum: one exact call per evaluation" evals exact;
+  let bound, exact, evals = run Game.Max in
+  check_int "max: no bound calls" 0 bound;
+  check_true "max: exact calls" (exact > 0);
+  check_int "max: one exact call per evaluation" evals exact
 
 (* --- quiescence / trajectory / cycle machinery -------------------------- *)
 
@@ -379,4 +453,7 @@ let suite =
     slow_case "differential, saturating budget" test_differential_larger_budget;
     case "quiescence run" test_quiescence_run;
     case "scale run deterministic" test_scale_run_deterministic;
+    slow_case "differential, multi-batch bound (n = 150, budget 100)"
+      test_differential_multi_batch;
+    case "bound and exact spans" test_spans;
   ]
