@@ -256,6 +256,10 @@ let check_cmd =
 (* --- dynamics --------------------------------------------------------------- *)
 
 let dynamics_exact game n init seed max_rounds trace =
+  (* checked here, so the errors name the flags *)
+  if n < 1 then invalid_arg (Printf.sprintf "dynamics needs -n >= 1 (got %d)" n);
+  if init = `Cycle && n < 3 then
+    invalid_arg (Printf.sprintf "--init cycle needs -n >= 3 (got %d)" n);
   let rng = Prng.create seed in
   let g =
     match init with
@@ -304,16 +308,15 @@ let scale_gen_error gen n ba_m er_deg ws_k ws_beta =
 (* The large-n engine: generate a family snapshot straight into CSR, run
    the sampled best-response dynamics over the Flexcsr arena. All
    randomness (generator rows, run stream, trajectory sources) derives
-   from --seed through Prng.substream, so runs are reproducible at any -j. *)
-let dynamics_scale game n gen seed max_rounds jobs budget probes patience
+   from --seed through Prng.substream, so a seeded run is reproducible. *)
+let dynamics_scale game n gen seed max_rounds budget probes patience
     exact_confirm window ba_m er_deg ws_k ws_beta traj_every traj_sources trace =
-  with_jobs jobs @@ fun pool ->
   let t0 = Unix.gettimeofday () in
   let csr =
     match gen with
     | `Ba -> Scale_gen.ba ~seed ~n ~m:ba_m
-    | `Er -> Scale_gen.er ~pool ~seed ~n ~avg_deg:er_deg ()
-    | `Ws -> Scale_gen.ws ~pool ~seed ~n ~k:ws_k ~beta:ws_beta ()
+    | `Er -> Scale_gen.er ~seed ~n ~avg_deg:er_deg
+    | `Ws -> Scale_gen.ws ~seed ~n ~k:ws_k ~beta:ws_beta
   in
   let t_gen = Unix.gettimeofday () -. t0 in
   Printf.printf "generator: %s, n = %d, m = %d (%.2fs)\n"
@@ -337,7 +340,7 @@ let dynamics_scale game n gen seed max_rounds jobs budget probes patience
   in
   let rng = Prng.substream seed (-1) in
   let t1 = Unix.gettimeofday () in
-  let r = Scale_dynamics.run ~pool ~rng cfg csr in
+  let r = Scale_dynamics.run ~rng cfg csr in
   let t_run = Unix.gettimeofday () -. t1 in
   Printf.printf "outcome: %s%s\n"
     (Exp_common.outcome_name r.Scale_dynamics.outcome)
@@ -366,9 +369,9 @@ let dynamics_scale game n gen seed max_rounds jobs budget probes patience
   end;
   `Ok ()
 
-let dynamics engine game n init gen seed max_rounds jobs budget probes
-    patience exact_confirm window ba_m er_deg ws_k ws_beta traj_every
-    traj_sources trace stats stats_json =
+let dynamics engine game n init gen seed max_rounds budget probes patience
+    exact_confirm window ba_m er_deg ws_k ws_beta traj_every traj_sources
+    trace stats stats_json =
   or_invalid @@ fun () ->
   with_stats stats stats_json @@ fun () ->
   match engine with
@@ -390,7 +393,7 @@ let dynamics engine game n init gen seed max_rounds jobs budget probes
          probes takes about 110 s on one core, so the default 24 rounds
          keep the bare command under an hour *)
       let max_rounds = if max_rounds = 0 then 24 else max_rounds in
-      dynamics_scale game n gen seed max_rounds jobs budget probes patience
+      dynamics_scale game n gen seed max_rounds budget probes patience
         exact_confirm window ba_m er_deg ws_k ws_beta traj_every traj_sources
         trace)
 
@@ -489,9 +492,9 @@ let dynamics_cmd =
     Term.(
       ret
         (const dynamics $ engine $ game_arg $ n $ init $ gen $ seed_arg $ rounds
-       $ jobs_arg $ budget $ probes $ patience $ exact_confirm $ window $ ba_m
-       $ er_deg $ ws_k $ ws_beta $ traj_every $ traj_sources $ trace
-       $ stats_arg $ stats_json_arg))
+       $ budget $ probes $ patience $ exact_confirm $ window $ ba_m $ er_deg
+       $ ws_k $ ws_beta $ traj_every $ traj_sources $ trace $ stats_arg
+       $ stats_json_arg))
 
 (* --- census --------------------------------------------------------------- *)
 
@@ -527,6 +530,13 @@ let census game n trees jobs workers parts retries timeout journal atlas_dir
   or_invalid @@ fun () ->
   with_stats stats stats_json @@ fun () ->
   let kind = if trees then Census.Trees else Census.graph_kind game in
+  (* Census.full_shard's cap, in the flags that pick the census kind *)
+  let max_n = Census.max_shard_vertices kind in
+  if n < 1 || n > max_n then
+    invalid_arg
+      (Printf.sprintf "census -n must be in [1, %d] for %s (got %d)" max_n
+         (if trees then "--trees" else "--game " ^ Game.to_string game)
+         n);
   let shard = Census.full_shard kind game n in
   let atlas =
     match atlas_dir with
@@ -724,6 +734,7 @@ let experiment_cmd =
 let hunt n target_diameter steps seed game stats stats_json =
   or_invalid @@ fun () ->
   with_stats stats stats_json @@ fun () ->
+  if n < 2 then invalid_arg (Printf.sprintf "hunt needs -n >= 2 (got %d)" n);
   let rng = Prng.create seed in
   let cfg = { (Hunt.default_config ~game ~n ~target_diameter ()) with Hunt.steps } in
   let r = Hunt.run rng cfg in

@@ -91,23 +91,13 @@ let distances_into ws g src out =
     out.(v) <- dist ws v
   done
 
-let all_pairs ?pool g =
+let all_pairs g =
   let n = Graph.n g in
-  match pool with
-  | None ->
-    let ws = create_workspace n in
-    Array.init n (fun src ->
-        let row = Array.make n 0 in
-        distances_into ws g src row;
-        row)
-  | Some pool ->
-    (* one BFS workspace per domain; rows are disjoint writes, and the
-       graph is only read, so no further synchronisation is needed *)
-    let matrix = Array.init n (fun _ -> Array.make n 0) in
-    Pool.parallel_for pool ~n
-      ~init:(fun () -> create_workspace n)
-      (fun ws src -> distances_into ws g src matrix.(src));
-    matrix
+  let ws = create_workspace n in
+  Array.init n (fun src ->
+      let row = Array.make n 0 in
+      distances_into ws g src row;
+      row)
 
 type reachability = { sum : int; ecc : int; reached : int }
 

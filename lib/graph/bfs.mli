@@ -42,10 +42,8 @@ val distances_into : workspace -> Graph.t -> int -> int array -> unit
 (** [distances_into ws g src out] runs BFS and writes all [n] distances into
     [out] (which must have length >= n). *)
 
-val all_pairs : ?pool:Pool.t -> Graph.t -> int array array
-(** [all_pairs g] is the n×n distance matrix via n BFS runs. With [?pool]
-    the sources are fanned across domains (workspace per domain, disjoint
-    row writes); the matrix is identical to the sequential one. *)
+val all_pairs : Graph.t -> int array array
+(** [all_pairs g] is the n×n distance matrix via n BFS runs. *)
 
 type reachability = {
   sum : int;  (** sum of distances to all other vertices *)

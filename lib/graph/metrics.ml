@@ -15,47 +15,18 @@ let fold_vertices_bfs g f init =
     loop 0 init
   end
 
-(* Parallel eccentricity sweep: per-domain BFS workspace, per-vertex
-   disjoint writes. A disconnected source flips the shared flag, which
-   later vertices read to skip their BFS — cheaper than the sequential
-   short-circuit only in wall-clock, but the verdict is identical. *)
-let eccentricities_par pool g =
+let eccentricities g =
   let n = Graph.n g in
-  if n = 0 then Some [||]
-  else begin
-    let out = Array.make n 0 in
-    let connected = Atomic.make true in
-    Pool.parallel_for pool ~n
-      ~init:(fun () -> Bfs.create_workspace n)
-      (fun ws v ->
-        if Atomic.get connected then begin
-          let r = Bfs.reach ws g v in
-          if r.Bfs.reached < n then Atomic.set connected false
-          else out.(v) <- r.Bfs.ecc
-        end);
-    if Atomic.get connected then Some out else None
-  end
+  let out = Array.make n 0 in
+  let i = ref 0 in
+  fold_vertices_bfs g
+    (fun () r ->
+      out.(!i) <- r.Bfs.ecc;
+      incr i)
+    ()
+  |> Option.map (fun () -> out)
 
-let eccentricities ?pool g =
-  match pool with
-  | Some pool when Pool.jobs pool > 1 -> eccentricities_par pool g
-  | _ ->
-    let n = Graph.n g in
-    let out = Array.make n 0 in
-    let i = ref 0 in
-    fold_vertices_bfs g
-      (fun () r ->
-        out.(!i) <- r.Bfs.ecc;
-        incr i)
-      ()
-    |> Option.map (fun () -> out)
-
-let diameter ?pool g =
-  match pool with
-  | Some pool when Pool.jobs pool > 1 ->
-    eccentricities_par pool g
-    |> Option.map (fun ecc -> Array.fold_left max 0 ecc)
-  | _ -> fold_vertices_bfs g (fun acc r -> max acc r.Bfs.ecc) 0
+let diameter g = fold_vertices_bfs g (fun acc r -> max acc r.Bfs.ecc) 0
 
 let radius g =
   fold_vertices_bfs g (fun acc r -> min acc r.Bfs.ecc) max_int

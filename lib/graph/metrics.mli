@@ -6,17 +6,14 @@
     analysis. Functions returning distances yield [None] on disconnected
     graphs unless documented otherwise. *)
 
-val diameter : ?pool:Pool.t -> Graph.t -> int option
-(** Largest eccentricity; [None] if disconnected. [Some 0] for n <= 1.
-    With [?pool] the per-vertex BFS sweep runs across domains; the result
-    is identical to the sequential one. *)
+val diameter : Graph.t -> int option
+(** Largest eccentricity; [None] if disconnected. [Some 0] for n <= 1. *)
 
 val radius : Graph.t -> int option
 (** Smallest eccentricity. *)
 
-val eccentricities : ?pool:Pool.t -> Graph.t -> int array option
-(** Per-vertex eccentricities; [None] if disconnected. [?pool] as in
-    {!diameter}. *)
+val eccentricities : Graph.t -> int array option
+(** Per-vertex eccentricities; [None] if disconnected. *)
 
 val wiener_index : Graph.t -> int option
 (** Sum of d(u,v) over unordered pairs. The sum-version social cost is twice

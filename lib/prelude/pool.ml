@@ -129,36 +129,6 @@ let default_fold_chunk pool n =
      atomic counter per index *)
   max 1 (n / (4 * pool.jobs))
 
-let parallel_for ?(chunk = 1) pool ~n ~init f =
-  if chunk < 1 then invalid_arg "Pool.parallel_for: chunk < 1";
-  if n > 0 then begin
-    if pool.jobs = 1 then begin
-      let st = init () in
-      for i = 0 to n - 1 do
-        f st i
-      done
-    end
-    else begin
-      let nchunks = chunk_count n chunk in
-      let next = Atomic.make 0 in
-      run_region pool (fun () ->
-          let st = lazy (init ()) in
-          let rec claim () =
-            let c = Atomic.fetch_and_add next 1 in
-            if c < nchunks then begin
-              Telemetry.incr m_tasks;
-              let lo = c * chunk and hi = min n ((c + 1) * chunk) in
-              let st = Lazy.force st in
-              for i = lo to hi - 1 do
-                f st i
-              done;
-              claim ()
-            end
-          in
-          claim ())
-    end
-  end
-
 let parallel_find ?(chunk = 1) pool ~n ~init f =
   if chunk < 1 then invalid_arg "Pool.parallel_find: chunk < 1";
   if n <= 0 then None
@@ -238,43 +208,4 @@ let fold_chunks ?chunk pool ~n ~fold ~reduce ~zero =
     end;
     (* chunk-ordered reduction keeps non-commutative merges deterministic *)
     Array.fold_left reduce zero partial
-  end
-
-let parallel_reduce ?(chunk = 1) pool ~n ~init ~map ~reduce ~zero =
-  if chunk < 1 then invalid_arg "Pool.parallel_reduce: chunk < 1";
-  if n <= 0 then zero
-  else if pool.jobs = 1 then begin
-    let st = init () in
-    let acc = ref zero in
-    for i = 0 to n - 1 do
-      acc := reduce !acc (map st i)
-    done;
-    !acc
-  end
-  else begin
-    let nchunks = chunk_count n chunk in
-    let partial = Array.make nchunks [] in
-    let next = Atomic.make 0 in
-    run_region pool (fun () ->
-        let st = lazy (init ()) in
-        let rec claim () =
-          let c = Atomic.fetch_and_add next 1 in
-          if c < nchunks then begin
-            Telemetry.incr m_tasks;
-            let lo = c * chunk and hi = min n ((c + 1) * chunk) in
-            let st = Lazy.force st in
-            (* a one-element list per chunk keeps ['a] unconstrained (no
-               dummy element needed for the partial array) *)
-            let acc = ref (map st lo) in
-            for i = lo + 1 to hi - 1 do
-              acc := reduce !acc (map st i)
-            done;
-            partial.(c) <- [ !acc ];
-            claim ()
-          end
-        in
-        claim ());
-    Array.fold_left
-      (fun acc part -> match part with [ x ] -> reduce acc x | _ -> acc)
-      zero partial
   end

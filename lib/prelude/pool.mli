@@ -1,22 +1,23 @@
 (** Fixed-size domain pool for data-parallel kernels.
 
-    The hot loops of this repository — per-agent equilibrium scans, census
-    enumeration, all-pairs BFS — are embarrassingly parallel over an index
-    range [0, n). This pool spawns [jobs - 1] worker domains once at
-    creation (the caller participates as worker 0) and hands each parallel
-    region out in contiguous chunks claimed from a shared atomic counter.
+    Two hot loops of this repository are embarrassingly parallel over an
+    index range [0, n) and run on this pool: the per-agent equilibrium
+    scan ({!parallel_find}) and census enumeration ({!fold_chunks}). The
+    pool spawns [jobs - 1] worker domains once at creation (the caller
+    participates as worker 0) and hands each parallel region out in
+    contiguous chunks claimed from a shared atomic counter.
 
-    Determinism contract: every combinator below produces the same result
-    as its sequential counterpart regardless of scheduling —
+    Determinism contract: both combinators produce the same result as
+    their sequential counterparts regardless of scheduling —
     {!parallel_find} returns the {e lowest-index} witness, and
-    {!fold_chunks}/{!parallel_reduce} combine per-chunk results in
-    ascending chunk order. A pool with [jobs = 1] spawns no domains and
-    runs every region inline, bit-for-bit identical to a plain loop.
+    {!fold_chunks} combines per-chunk results in ascending chunk order. A
+    pool with [jobs = 1] spawns no domains and runs every region inline,
+    bit-for-bit identical to a plain loop.
 
     Not reentrant: a parallel region must not start another region on the
     same pool (workspace-per-domain, no nesting). Callbacks must confine
-    mutation to per-domain state created by [init] plus disjoint writes
-    (e.g. row [i] of a shared matrix). *)
+    mutation to per-domain state created by [init] or to state that only
+    their own chunk touches. *)
 
 type t
 
@@ -38,36 +39,17 @@ val with_pool : ?jobs:int -> (t -> 'a) -> 'a
 (** [with_pool f] runs [f] on a fresh pool and shuts it down afterwards,
     also on exceptions. *)
 
-val parallel_for :
-  ?chunk:int -> t -> n:int -> init:(unit -> 's) -> ('s -> int -> unit) -> unit
-(** [parallel_for pool ~n ~init f] calls [f state i] once for every
-    [i] in [[0, n)]. [init] runs at most once per domain (lazily, on the
-    domain that uses it) and typically allocates scratch such as a BFS
-    workspace or a private graph copy. [chunk] (default 1) is the number
-    of consecutive indices claimed at a time. Exceptions raised by [f]
-    abort the region and one of them is re-raised after all workers have
-    drained. *)
-
 val parallel_find :
   ?chunk:int -> t -> n:int -> init:(unit -> 's) -> ('s -> int -> 'r option) -> 'r option
 (** First-witness-wins search: semantically identical to scanning
     [f state 0, f state 1, ...] and returning the first [Some].
     Later indices stop being evaluated once a witness with a smaller
     index is known, so the parallel run early-exits like the sequential
-    one. *)
-
-val parallel_reduce :
-  ?chunk:int ->
-  t ->
-  n:int ->
-  init:(unit -> 's) ->
-  map:('s -> int -> 'a) ->
-  reduce:('a -> 'a -> 'a) ->
-  zero:'a ->
-  'a
-(** [fold_left reduce zero (map 0 .. map (n-1))] with the maps run in
-    parallel. [reduce] is applied in ascending index order, so it need not
-    be commutative — only the usual fold associativity is assumed. *)
+    one. [init] runs at most once per domain (lazily, on the domain that
+    uses it) and typically allocates scratch such as a private graph copy
+    and a BFS workspace. [chunk] (default 1) is the number of consecutive
+    indices claimed at a time. Exceptions raised by [f] abort the region
+    and one of them is re-raised after all workers have drained. *)
 
 val fold_chunks :
   ?chunk:int ->
@@ -81,4 +63,4 @@ val fold_chunks :
     (census shards): [fold ~lo ~hi] processes [[lo, hi)] and returns a
     partial result; partials are combined with [reduce] in ascending
     chunk order. [chunk] defaults to a size that yields a few chunks per
-    worker. *)
+    worker. Exceptions raised by [fold] propagate as in {!parallel_find}. *)

@@ -17,7 +17,7 @@
     median), and [make bench-ab] gates the untraced end-to-end rows.
 
     {b Domain safety.} Metric cells are [Atomic.t] ints; increments from
-    concurrent {!Pool.parallel_for} callbacks lose no counts. Metric
+    concurrent {!Pool.fold_chunks} callbacks lose no counts. Metric
     {e registration} is mutex-protected but intended for module-init time
     (single domain); do not create metrics inside parallel regions.
 

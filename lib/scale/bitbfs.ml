@@ -78,8 +78,7 @@ let seed_sources sc sources visit =
   !qlen
 
 (* Scatter kernel: a frontier queue per wave; each frontier word is pushed
-   through its row. Fastest sequentially — writes to next.(u)/seen.(u)
-   conflict across frontier vertices, so this form does not parallelise. *)
+   through its row into the neighbours' [next] words. *)
 let run_scatter sc t ~sources ~visit =
   let seen = sc.seen and front = sc.front and next = sc.next in
   let off, len, arena = Flexcsr.rows t in
@@ -123,60 +122,7 @@ let run_scatter sc t ~sources ~visit =
   done;
   Telemetry.add m_words !words
 
-(* Gather kernel: each wave sweeps all unsaturated vertices, ORing the
-   frontier words of their neighbors. All writes of the sweep touch only
-   the swept vertex's own cells, so the sweep parallelises over disjoint
-   vertex ranges; per-chunk discovery lists are reduced in ascending chunk
-   order (the Pool contract), making visit order — and therefore telemetry
-   — deterministic at any job count. *)
-let run_gather pool sc t ~sources ~visit =
-  let n = Flexcsr.n t in
-  let seen = sc.seen and front = sc.front and next = sc.next in
-  let off, len, arena = Flexcsr.rows t in
-  let s = Array.length sources in
-  let full = if s >= 63 then -1 else (1 lsl s) - 1 in
-  let qlen = seed_sources sc sources visit in
-  let prev = ref (Array.sub sc.q 0 qlen) in
-  let wave = ref 0 in
-  let words = ref 0 in
-  while Array.length !prev > 0 do
-    incr wave;
-    words := !words + Array.length !prev;
-    let changed =
-      Pool.fold_chunks pool ~n
-        ~fold:(fun ~lo ~hi ->
-          let found = ref [] in
-          for u = hi - 1 downto lo do
-            if seen.(u) <> full then begin
-              let f = ref 0 in
-              let base = off.(u) in
-              for i = base to base + len.(u) - 1 do
-                f := !f lor front.(arena.(i))
-              done;
-              let add = !f land lnot seen.(u) in
-              if add <> 0 then begin
-                next.(u) <- add;
-                seen.(u) <- seen.(u) lor add;
-                found := u :: !found
-              end
-            end
-          done;
-          !found)
-        ~reduce:(fun a b -> a @ b) ~zero:[]
-    in
-    Array.iter (fun v -> front.(v) <- 0) !prev;
-    let changed = Array.of_list changed in
-    Array.iter
-      (fun u ->
-        front.(u) <- next.(u);
-        next.(u) <- 0;
-        visit u !wave front.(u))
-      changed;
-    prev := changed
-  done;
-  Telemetry.add m_words !words
-
-let run ?pool sc t ~sources ~visit =
+let run sc t ~sources ~visit =
   let n = Flexcsr.n t in
   let s = Array.length sources in
   if s = 0 || s > max_sources then
@@ -190,35 +136,33 @@ let run ?pool sc t ~sources ~visit =
   Array.fill sc.front 0 n 0;
   Array.fill sc.next 0 n 0;
   Telemetry.incr m_runs;
-  match pool with
-  | Some p when Pool.jobs p > 1 -> run_gather p sc t ~sources ~visit
-  | _ -> run_scatter sc t ~sources ~visit
+  run_scatter sc t ~sources ~visit
 
 type stats = { ecc : int; sum : int; reached : int }
 
-let batched ?pool sc t ~sources ~visit_abs =
+let batched sc t ~sources ~visit_abs =
   let s = Array.length sources in
   let pos = ref 0 in
   while !pos < s do
     let k = min max_sources (s - !pos) in
     let base = !pos in
     let chunk = Array.sub sources base k in
-    run ?pool sc t ~sources:chunk ~visit:(fun u wave bits ->
+    run sc t ~sources:chunk ~visit:(fun u wave bits ->
         iter_bits (fun i -> visit_abs u wave (base + i)) bits);
     pos := !pos + k
   done
 
-let sample_stats ?pool sc t ~sources =
+let sample_stats sc t ~sources =
   let s = Array.length sources in
   let ecc = Array.make s 0 and sum = Array.make s 0 and reached = Array.make s 0 in
-  batched ?pool sc t ~sources ~visit_abs:(fun _u wave i ->
+  batched sc t ~sources ~visit_abs:(fun _u wave i ->
       reached.(i) <- reached.(i) + 1;
       sum.(i) <- sum.(i) + wave;
       if wave > ecc.(i) then ecc.(i) <- wave);
   Array.init s (fun i -> { ecc = ecc.(i); sum = sum.(i); reached = reached.(i) })
 
-let distances ?pool sc t ~sources =
+let distances sc t ~sources =
   let n = Flexcsr.n t in
   let d = Array.init (Array.length sources) (fun _ -> Array.make n (-1)) in
-  batched ?pool sc t ~sources ~visit_abs:(fun u wave i -> d.(i).(u) <- wave);
+  batched sc t ~sources ~visit_abs:(fun u wave i -> d.(i).(u) <- wave);
   d

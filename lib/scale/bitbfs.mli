@@ -12,10 +12,10 @@
 
     Results are exact BFS distances (per source), delivered through a
     [visit] callback invoked once per (vertex, wave) pair with the set of
-    sources that first reach the vertex at that wave. Accumulations must be
-    commutative over visit order: the sequential scatter kernel visits in
-    frontier-queue order, the optional {!Pool}-parallel gather kernel in
-    ascending vertex order, and both orders are deterministic.
+    sources that first reach the vertex at that wave. Within a wave the
+    kernel visits vertices in frontier-queue order (the order in which the
+    previous wave's rows first reached them), a deterministic function of
+    the graph and the source array.
 
     Telemetry (under [scale.bitbfs.*]): runs and frontier words processed. *)
 
@@ -31,7 +31,6 @@ val create_scratch : int -> scratch
     vertices. *)
 
 val run :
-  ?pool:Pool.t ->
   scratch ->
   Flexcsr.t ->
   sources:int array ->
@@ -41,8 +40,7 @@ val run :
     {!max_sources} sources. [visit u wave bits] fires once per vertex [u]
     per wave at which at least one new source reaches it; bit [i] of
     [bits] corresponds to [sources.(i)] (sources themselves fire at wave
-    0). With [pool] (and [jobs > 1]) waves run as gather sweeps
-    parallelised over vertices — [visit] is still called sequentially.
+    0).
     @raise Invalid_argument on 0 or more than {!max_sources} sources. *)
 
 val iter_bits : (int -> unit) -> int -> unit
@@ -50,12 +48,10 @@ val iter_bits : (int -> unit) -> int -> unit
 
 type stats = { ecc : int; sum : int; reached : int }
 
-val sample_stats :
-  ?pool:Pool.t -> scratch -> Flexcsr.t -> sources:int array -> stats array
+val sample_stats : scratch -> Flexcsr.t -> sources:int array -> stats array
 (** Per-source eccentricity, sum of finite distances, and reach count.
     Any number of sources — batches of {!max_sources} internally. *)
 
-val distances :
-  ?pool:Pool.t -> scratch -> Flexcsr.t -> sources:int array -> int array array
+val distances : scratch -> Flexcsr.t -> sources:int array -> int array array
 (** Full distance rows (−1 for unreached), one per source: the test
     oracle hook. Any number of sources. *)

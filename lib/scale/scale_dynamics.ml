@@ -73,7 +73,7 @@ type result = {
   trace : (Swap.move * int) list;
 }
 
-let run ?pool ?rng cfg csr =
+let run ?rng cfg csr =
   (* the certified-bound machinery and the CSR kernels speak the basic
      two-game cost model; the α-game (ownership state, float costs) has
      no sampled engine yet and is rejected up front with a clear error *)
@@ -152,7 +152,7 @@ let run ?pool ?rng cfg csr =
       let srng = Prng.substream cfg.traj_seed (-2 - round) in
       let k = min cfg.trajectory_sources n in
       let sources = Prng.sample_distinct srng ~n ~k in
-      let stats = Bitbfs.sample_stats ?pool bsc fx ~sources in
+      let stats = Bitbfs.sample_stats bsc fx ~sources in
       let dia = ref 0 and total = ref 0 in
       Array.iter
         (fun (s : Bitbfs.stats) ->
@@ -321,7 +321,7 @@ let run ?pool ?rng cfg csr =
                    edge vx lowers the bound's u-term from a_w(u) to
                    1 + wave when that is smaller. Past wave d_v(u),
                    1 + wave >= 2 + d_v(u) >= a_w(u): nothing to lower *)
-                Bitbfs.run ?pool bsc fx
+                Bitbfs.run bsc fx
                   ~sources:(Array.sub srcs lo k)
                   ~visit:(fun u wave bits ->
                     if wave <= dist_v.(u) then

@@ -98,9 +98,7 @@ type result = {
       (** chronological (move, delta), when [record_trace] *)
 }
 
-val run : ?pool:Pool.t -> ?rng:Prng.t -> config -> Csr.t -> result
+val run : ?rng:Prng.t -> config -> Csr.t -> result
 (** Runs the dynamics on a fresh {!Flexcsr} copy of the snapshot. The
     input must be connected (generators patch connectivity; see
-    {!Scale_gen}). [pool] parallelises the bit-BFS waves of bound batches
-    and trajectory samples. @raise Invalid_argument on disconnected
-    input. *)
+    {!Scale_gen}). @raise Invalid_argument on disconnected input. *)

@@ -59,21 +59,6 @@ let finish ~n per_v =
   Telemetry.add m_patched (List.length extra);
   Csr.of_edges ~n edges
 
-(* Fill per-vertex rows, optionally in parallel: disjoint slot writes plus
-   per-vertex substreams make the result identical at any job count. *)
-let fill_rows ?pool ~n row =
-  let per_v = Array.make (max n 1) [||] in
-  (match pool with
-  | Some pool when Pool.jobs pool > 1 ->
-    Pool.parallel_for pool ~chunk:1024 ~n
-      ~init:(fun () -> ())
-      (fun () v -> per_v.(v) <- row v)
-  | _ ->
-    for v = 0 to n - 1 do
-      per_v.(v) <- row v
-    done);
-  per_v
-
 let er_row ~seed ~n ~p v =
   if p <= 0. || v = n - 1 then [||]
   else if p >= 1. then Array.init (n - 1 - v) (fun i -> v + 1 + i)
@@ -97,11 +82,11 @@ let er_row ~seed ~n ~p v =
     row
   end
 
-let er ?pool ~seed ~n ~avg_deg () =
+let er ~seed ~n ~avg_deg =
   if n < 2 then invalid_arg "Scale_gen.er: need n >= 2";
   if avg_deg < 0. then invalid_arg "Scale_gen.er: negative avg_deg";
   let p = min 1. (avg_deg /. float_of_int (n - 1)) in
-  finish ~n (fill_rows ?pool ~n (er_row ~seed ~n ~p))
+  finish ~n (Array.init n (er_row ~seed ~n ~p))
 
 let ws_row ~seed ~n ~k ~beta v =
   let targets = Array.init k (fun i -> (v + i + 1) mod n) in
@@ -124,11 +109,11 @@ let ws_row ~seed ~n ~k ~beta v =
   end;
   targets
 
-let ws ?pool ~seed ~n ~k ~beta () =
+let ws ~seed ~n ~k ~beta =
   if k < 1 || (2 * k) + 1 > n then
     invalid_arg "Scale_gen.ws: need 1 <= k and 2k + 1 <= n";
   if beta < 0. || beta > 1. then invalid_arg "Scale_gen.ws: beta outside [0,1]";
-  finish ~n (fill_rows ?pool ~n (ws_row ~seed ~n ~k ~beta))
+  finish ~n (Array.init n (ws_row ~seed ~n ~k ~beta))
 
 let ba ~seed ~n ~m =
   if m < 1 || m >= n then invalid_arg "Scale_gen.ba: need 1 <= m < n";

@@ -74,6 +74,9 @@ let test_vertex_transitive () =
   check_true "complete" (Canon.is_vertex_transitive (Generators.complete 5));
   check_true "petersen" (Canon.is_vertex_transitive (Generators.petersen ()));
   check_true "hypercube" (Canon.is_vertex_transitive (Generators.hypercube 3));
+  (* the Theorem 12 torus at k = 2 (n = 8); k = 3 has 18 vertices, past
+     the search cap *)
+  check_true "torus k = 2" (Canon.is_vertex_transitive (Constructions.torus 2));
   check_false "path" (Canon.is_vertex_transitive (Generators.path 4));
   check_false "star" (Canon.is_vertex_transitive (Generators.star 4))
 

@@ -17,9 +17,11 @@ let test_radius () =
   check_opt_int "K1 radius" (Some 0) (Metrics.radius (Generators.star 1))
 
 let test_eccentricities () =
-  match Metrics.eccentricities (Generators.path 4) with
+  (match Metrics.eccentricities (Generators.path 4) with
   | Some e -> Alcotest.(check (array int)) "path eccs" [| 3; 2; 2; 3 |] e
-  | None -> Alcotest.fail "connected"
+  | None -> Alcotest.fail "connected");
+  check_true "disconnected -> None"
+    (Metrics.eccentricities (Graph.of_edges 6 [ (0, 1); (2, 3); (4, 5) ]) = None)
 
 let test_wiener () =
   (* star K1,3: pairs at distance 1: 3 edges; leaf pairs at 2: 3 pairs -> 3 + 6 *)

@@ -4,47 +4,27 @@ open Test_helpers
 
 let sum_below n = n * (n - 1) / 2
 
-let test_parallel_reduce_sum () =
-  List.iter
-    (fun jobs ->
-      Pool.with_pool ~jobs (fun pool ->
-          List.iter
-            (fun chunk ->
-              let total =
-                Pool.parallel_reduce pool ~chunk ~n:10_000
-                  ~init:(fun () -> ())
-                  ~map:(fun () i -> i)
-                  ~reduce:( + ) ~zero:0
-              in
-              check_int
-                (Printf.sprintf "sum of [0,10000) jobs=%d chunk=%d" jobs chunk)
-                (sum_below 10_000) total)
-            [ 1; 7; 64; 4096 ]))
-    [ 1; 2; 4 ]
-
-let test_parallel_for_covers_range () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let out = Array.make 1_000 (-1) in
-      Pool.parallel_for pool ~chunk:13 ~n:1_000
-        ~init:(fun () -> ())
-        (fun () i -> out.(i) <- i * i);
-      Array.iteri (fun i x -> check_int "slot written exactly" (i * i) x) out)
-
-let test_parallel_for_init_per_domain () =
+let test_parallel_find_init_per_domain () =
   (* each domain gets its own state: concurrent increments on it need no
-     synchronisation, and the per-domain counts must add up to n *)
+     synchronisation, and with no witness the per-domain counts must add
+     up to n *)
   Pool.with_pool ~jobs:4 (fun pool ->
       let counters = Atomic.make [] in
-      Pool.parallel_for pool ~n:5_000
-        ~init:(fun () ->
-          let c = ref 0 in
-          let rec add () =
-            let cur = Atomic.get counters in
-            if not (Atomic.compare_and_set counters cur (c :: cur)) then add ()
-          in
-          add ();
-          c)
-        (fun c _ -> incr c);
+      let r =
+        Pool.parallel_find pool ~n:5_000
+          ~init:(fun () ->
+            let c = ref 0 in
+            let rec add () =
+              let cur = Atomic.get counters in
+              if not (Atomic.compare_and_set counters cur (c :: cur)) then add ()
+            in
+            add ();
+            c)
+          (fun c _ ->
+            incr c;
+            None)
+      in
+      check_true "no witness" (r = None);
       let states = Atomic.get counters in
       check_true "at most one state per domain" (List.length states <= 4);
       check_int "per-domain counts cover the range" 5_000
@@ -133,16 +113,23 @@ let test_exception_propagation () =
   List.iter
     (fun jobs ->
       Pool.with_pool ~jobs (fun pool ->
-          Alcotest.check_raises "exception crosses the join" (Failure "boom")
-            (fun () ->
-              Pool.parallel_for pool ~n:100
-                ~init:(fun () -> ())
-                (fun () i -> if i = 37 then failwith "boom"));
+          Alcotest.check_raises "fold_chunks: exception crosses the join"
+            (Failure "boom") (fun () ->
+              ignore
+                (Pool.fold_chunks pool ~chunk:7 ~n:100
+                   ~fold:(fun ~lo ~hi -> if lo <= 37 && 37 < hi then failwith "boom")
+                   ~reduce:(fun () () -> ())
+                   ~zero:()));
+          Alcotest.check_raises "parallel_find: exception crosses the join"
+            (Failure "boom") (fun () ->
+              ignore
+                (Pool.parallel_find pool ~n:100
+                   ~init:(fun () -> ())
+                   (fun () i -> if i = 37 then failwith "boom" else None)));
           (* the region drains cleanly, so the pool stays usable *)
           let total =
-            Pool.parallel_reduce pool ~n:100
-              ~init:(fun () -> ())
-              ~map:(fun () i -> i)
+            Pool.fold_chunks pool ~chunk:7 ~n:100
+              ~fold:(fun ~lo ~hi -> sum_below hi - sum_below lo)
               ~reduce:( + ) ~zero:0
           in
           check_int "pool reusable after exception" (sum_below 100) total))
@@ -150,12 +137,22 @@ let test_exception_propagation () =
 
 let test_empty_and_degenerate_ranges () =
   Pool.with_pool ~jobs:4 (fun pool ->
-      Pool.parallel_for pool ~n:0 ~init:(fun () -> Alcotest.fail "init on empty") (fun _ _ -> ());
-      check_true "find on empty" (Pool.parallel_find pool ~n:0 ~init:(fun () -> ()) (fun () i -> Some i) = None);
-      check_int "reduce on empty" 0
-        (Pool.parallel_reduce pool ~n:0 ~init:(fun () -> ()) ~map:(fun () i -> i) ~reduce:( + ) ~zero:0);
-      check_int "singleton range" 42
-        (Pool.parallel_reduce pool ~n:1 ~init:(fun () -> ()) ~map:(fun () _ -> 42) ~reduce:( + ) ~zero:0))
+      check_true "find on empty"
+        (Pool.parallel_find pool ~n:0
+           ~init:(fun () -> Alcotest.fail "init on empty")
+           (fun () i -> Some i)
+        = None);
+      check_int "fold on empty" 0
+        (Pool.fold_chunks pool ~n:0
+           ~fold:(fun ~lo:_ ~hi:_ -> Alcotest.fail "fold on empty")
+           ~reduce:( + ) ~zero:0);
+      check_true "find on a singleton"
+        (Pool.parallel_find pool ~n:1 ~init:(fun () -> ()) (fun () i -> Some (i + 42))
+        = Some 42);
+      check_int "fold on a singleton" 42
+        (Pool.fold_chunks pool ~n:1
+           ~fold:(fun ~lo ~hi -> if (lo, hi) = (0, 1) then 42 else 0)
+           ~reduce:( + ) ~zero:0))
 
 (* --- parallel kernels equal the sequential ones -------------------------- *)
 
@@ -177,30 +174,6 @@ let test_equilibrium_determinism () =
           check_true
             (name ^ ": parallel max verdict equals sequential")
             (Equilibrium.check_max g = Equilibrium.check_max ~pool g))
-        (kernel_graphs ()))
-
-let test_eccentricities_determinism () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      List.iter
-        (fun (name, g) ->
-          check_true
-            (name ^ ": parallel eccentricities equal sequential")
-            (Metrics.eccentricities g = Metrics.eccentricities ~pool g);
-          check_true
-            (name ^ ": parallel diameter equals sequential")
-            (Metrics.diameter g = Metrics.diameter ~pool g))
-        (kernel_graphs ());
-      let split = Graph.of_edges 6 [ (0, 1); (2, 3); (4, 5) ] in
-      check_true "disconnected -> None in parallel too"
-        (Metrics.eccentricities ~pool split = None))
-
-let test_all_pairs_determinism () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      List.iter
-        (fun (name, g) ->
-          check_true
-            (name ^ ": parallel all-pairs matrix equals sequential")
-            (Bfs.all_pairs g = Bfs.all_pairs ~pool g))
         (kernel_graphs ()))
 
 let test_tree_census_determinism () =
@@ -246,9 +219,7 @@ let test_graph_census_determinism () =
 
 let suite =
   [
-    case "parallel_reduce sums" test_parallel_reduce_sum;
-    case "parallel_for covers the range" test_parallel_for_covers_range;
-    case "parallel_for per-domain init" test_parallel_for_init_per_domain;
+    case "parallel_find per-domain init" test_parallel_find_init_per_domain;
     case "parallel_find lowest witness" test_parallel_find_lowest_witness;
     case "parallel_find without witness" test_parallel_find_no_witness;
     case "parallel_find early exit" test_parallel_find_early_exit;
@@ -256,8 +227,6 @@ let suite =
     case "exception propagation" test_exception_propagation;
     case "empty and degenerate ranges" test_empty_and_degenerate_ranges;
     case "equilibrium: parallel = sequential" test_equilibrium_determinism;
-    case "eccentricities: parallel = sequential" test_eccentricities_determinism;
-    case "all-pairs: parallel = sequential" test_all_pairs_determinism;
     case "tree census: parallel = sequential" test_tree_census_determinism;
     case "graph census: parallel = sequential" test_graph_census_determinism;
   ]

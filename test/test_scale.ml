@@ -1,8 +1,8 @@
 (* The lib/scale subsystem: Flexcsr mutation + BFS kernels against
    Graph/Csr oracles, bit-parallel BFS against scalar BFS on 200 seeded
-   graphs, generator invariants (edge counts, determinism, j1-vs-j4
-   byte-identity), and the engine-level differential: the sampled scale
-   engine must reproduce Dynamics' move sequences byte-identically. *)
+   graphs, generator invariants (edge counts, same-seed byte-identity),
+   and the engine-level differential: the sampled scale engine must
+   reproduce Dynamics' move sequences byte-identically. *)
 
 open Test_helpers
 
@@ -146,12 +146,7 @@ let test_bitbfs_oracle_200 () =
     let sources = Array.init n (fun i -> i) in
     let got = Bitbfs.distances sc fx ~sources in
     let oracle = Csr.all_pairs csr in
-    check_true "bitbfs distances" (got = oracle);
-    if seed mod 25 = 0 then begin
-      (* gather path under a real pool agrees with the scatter path *)
-      Pool.with_pool ~jobs:4 (fun pool ->
-          check_true "gather = scatter" (Bitbfs.distances ~pool sc fx ~sources = oracle))
-    end
+    check_true "bitbfs distances" (got = oracle)
   done
 
 let test_bitbfs_sample_stats () =
@@ -207,7 +202,7 @@ let test_ba_invariants () =
 
 let test_er_concentration () =
   let n = 20_000 and avg = 6.0 in
-  let csr = Scale_gen.er ~seed:3 ~n ~avg_deg:avg () in
+  let csr = Scale_gen.er ~seed:3 ~n ~avg_deg:avg in
   let expect = int_of_float (avg *. float_of_int n /. 2.) in
   let slack = expect / 20 in
   check_true "edge count concentrates"
@@ -216,31 +211,29 @@ let test_er_concentration () =
 
 let test_ws_invariants () =
   let n = 4000 and k = 3 in
-  let ring = Scale_gen.ws ~seed:5 ~n ~k ~beta:0.0 () in
+  let ring = Scale_gen.ws ~seed:5 ~n ~k ~beta:0.0 in
   check_int "ring edges" (n * k) (Csr.m ring);
   for v = 0 to n - 1 do
     check_int "ring degree" (2 * k) (Csr.degree ring v)
   done;
   check_true "ring connected" (csr_connected ring);
-  let rew = Scale_gen.ws ~seed:5 ~n ~k ~beta:0.3 () in
+  let rew = Scale_gen.ws ~seed:5 ~n ~k ~beta:0.3 in
   check_true "rewired connected" (csr_connected rew);
   check_true "rewired m bounded" (Csr.m rew <= n * k);
   check_true "rewired m near nk" (Csr.m rew >= (n * k) - (n * k / 10));
   check_false "rewiring changed the graph" (Csr.equal ring rew)
 
-let test_gen_determinism_and_jobs () =
-  (* same seed -> byte-identical snapshot, at any job count; different
-     seed -> different snapshot *)
+let test_gen_determinism () =
+  (* same seed -> byte-identical snapshot; different seed -> different
+     snapshot *)
   let n = 5000 in
-  let er1 = Scale_gen.er ~seed:9 ~n ~avg_deg:4.0 () in
-  let ws1 = Scale_gen.ws ~seed:9 ~n ~k:2 ~beta:0.2 () in
+  let er1 = Scale_gen.er ~seed:9 ~n ~avg_deg:4.0 in
+  let ws1 = Scale_gen.ws ~seed:9 ~n ~k:2 ~beta:0.2 in
   let ba1 = Scale_gen.ba ~seed:9 ~n ~m:2 in
-  check_true "er repeat" (Csr.equal er1 (Scale_gen.er ~seed:9 ~n ~avg_deg:4.0 ()));
+  check_true "er repeat" (Csr.equal er1 (Scale_gen.er ~seed:9 ~n ~avg_deg:4.0));
+  check_true "ws repeat" (Csr.equal ws1 (Scale_gen.ws ~seed:9 ~n ~k:2 ~beta:0.2));
   check_true "ba repeat" (Csr.equal ba1 (Scale_gen.ba ~seed:9 ~n ~m:2));
-  check_false "er seed moves" (Csr.equal er1 (Scale_gen.er ~seed:10 ~n ~avg_deg:4.0 ()));
-  Pool.with_pool ~jobs:4 (fun pool ->
-      check_true "er j4 = j1" (Csr.equal er1 (Scale_gen.er ~pool ~seed:9 ~n ~avg_deg:4.0 ()));
-      check_true "ws j4 = j1" (Csr.equal ws1 (Scale_gen.ws ~pool ~seed:9 ~n ~k:2 ~beta:0.2 ())))
+  check_false "er seed moves" (Csr.equal er1 (Scale_gen.er ~seed:10 ~n ~avg_deg:4.0))
 
 (* --- engine differential ------------------------------------------------ *)
 
@@ -429,10 +422,7 @@ let test_scale_run_deterministic () =
   let r1 = Scale_dynamics.run ~rng:(Prng.substream 8 (-1)) cfg csr in
   let r2 = Scale_dynamics.run ~rng:(Prng.substream 8 (-1)) cfg csr in
   check_true "same trace" (r1.Scale_dynamics.trace = r2.Scale_dynamics.trace);
-  check_int "same moves" r1.Scale_dynamics.moves r2.Scale_dynamics.moves;
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let r3 = Scale_dynamics.run ~pool ~rng:(Prng.substream 8 (-1)) cfg csr in
-      check_true "same trace under -j4" (r1.Scale_dynamics.trace = r3.Scale_dynamics.trace))
+  check_int "same moves" r1.Scale_dynamics.moves r2.Scale_dynamics.moves
 
 let suite =
   [
@@ -447,7 +437,7 @@ let suite =
     case "ba invariants" test_ba_invariants;
     slow_case "er concentration" test_er_concentration;
     case "ws invariants" test_ws_invariants;
-    slow_case "generator determinism and jobs" test_gen_determinism_and_jobs;
+    slow_case "generator determinism" test_gen_determinism;
     slow_case "differential vs Dynamics (sum)" test_differential_sum;
     slow_case "differential vs Dynamics (max)" test_differential_max;
     slow_case "differential, saturating budget" test_differential_larger_budget;

@@ -131,11 +131,14 @@ let test_concurrent_increments_lose_nothing () =
       Telemetry.set_enabled true;
       let n = 50_000 in
       Pool.with_pool ~jobs:4 (fun pool ->
-          Pool.parallel_for ~chunk:64 pool ~n
-            ~init:(fun () -> ())
-            (fun () i ->
-              Telemetry.incr c;
-              Telemetry.observe h (i land 7)));
+          Pool.fold_chunks ~chunk:64 pool ~n
+            ~fold:(fun ~lo ~hi ->
+              for i = lo to hi - 1 do
+                Telemetry.incr c;
+                Telemetry.observe h (i land 7)
+              done)
+            ~reduce:(fun () () -> ())
+            ~zero:());
       check_int "no lost counter increments" n (Telemetry.counter_value c);
       check_int "no lost histogram observations" n (Telemetry.histogram_count h))
 
