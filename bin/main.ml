@@ -305,6 +305,11 @@ let scale_gen_error gen n ba_m er_deg ws_k ws_beta =
     fail "--ws-beta must be in [0, 1] (got %g)" ws_beta
   | _ -> None
 
+(* An integer flag's least value, checked before any work so that the
+   error names the flag; [Invalid_argument] becomes exit 124. *)
+let at_least flag least v =
+  if v < least then invalid_arg (Printf.sprintf "%s must be >= %d (got %d)" flag least v)
+
 (* The large-n engine: generate a family snapshot straight into CSR, run
    the sampled best-response dynamics over the Flexcsr arena. All
    randomness (generator rows, run stream, trajectory sources) derives
@@ -374,6 +379,7 @@ let dynamics engine game n init gen seed max_rounds budget probes patience
     trace stats stats_json =
   or_invalid @@ fun () ->
   with_stats stats stats_json @@ fun () ->
+  at_least "--max-rounds" 0 max_rounds;
   match engine with
   | `Exact ->
     let max_rounds = if max_rounds = 0 then 10_000 else max_rounds in
@@ -389,6 +395,12 @@ let dynamics engine game n init gen seed max_rounds budget probes patience
     match scale_gen_error gen n ba_m er_deg ws_k ws_beta with
     | Some msg -> `Error (false, msg)
     | None ->
+      at_least "--budget" 1 budget;
+      at_least "--window" 1 window;
+      at_least "--probes" 0 probes;
+      at_least "--patience" 0 patience;
+      at_least "--traj-every" 0 traj_every;
+      at_least "--traj-sources" 0 traj_sources;
       (* one round = --probes sampled probes; at n = 10^6 a round of 32
          probes takes about 110 s on one core, so the default 24 rounds
          keep the bare command under an hour *)

@@ -31,7 +31,11 @@ val refine : Graph.t -> int array
     both atlas key spaces (serve's keys are [form] bytes, the census's
     the graph6 of {!Orderly}'s generated copies) and the orderly
     census's shard rank space; [test_orderly]'s emission digests pin all
-    of them. Works for any size: a round is O(n + m) plus an insertion
+    of them. Since the first classes are the degrees and a round only
+    splits classes, a vertex of higher degree always has a higher color,
+    so degrees never decrease along {!cert}'s [perm]. {!Orderly}'s degree
+    test depends on this, and [test_canon] checks it.
+    Works for any size: a round is O(n + m) plus an insertion
     sort within each color class. *)
 
 val canonical_form : Graph.t -> string

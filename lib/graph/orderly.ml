@@ -38,6 +38,8 @@ let m_rejected = Telemetry.counter "census.orderly.rejected"
 
 let m_extensions = Telemetry.counter "census.orderly.extensions"
 
+let m_pruned = Telemetry.counter "census.orderly.pruned"
+
 let apply_mask sigma mask =
   let out = ref 0 in
   let m = ref mask in
@@ -58,25 +60,61 @@ let child_of parent k mask =
   done;
   h
 
+(* [rows.(v)]: the neighbours of [v] as a bitmask *)
+let rows_of g = Array.init (Graph.n g) (Graph.fold_neighbors (fun m w -> m lor (1 lsl w)) 0 g)
+
+(* in the connected graph [rows], [u] is a cut vertex iff a flood from
+   another vertex, never entering [u], misses some vertex *)
+let is_cut rows u =
+  let others = ((1 lsl Array.length rows) - 1) land lnot (1 lsl u) in
+  let seen = ref (others land -others) in
+  let frontier = ref !seen in
+  while !frontier <> 0 do
+    let next = ref 0 and m = ref !frontier and v = ref 0 in
+    while !m <> 0 do
+      if !m land 1 <> 0 then next := !next lor rows.(!v);
+      m := !m lsr 1;
+      incr v
+    done;
+    frontier := !next land others land lnot !seen;
+    seen := !seen lor !frontier
+  done;
+  !seen <> others
+
 (* canonical deletion position: the highest canonical position whose
    vertex is not a cut vertex. Non-cutness of a position is a property
    of the canonical copy, so the choice is isomorphism-invariant; a
    connected graph on >= 2 vertices always has one. *)
-let canonical_deletion_orbit h (cert : Canon.cert) =
-  let size = Graph.n h in
+let canonical_deletion_orbit rows (cert : Canon.cert) =
   let rec find q =
     if q < 0 then assert false
-    else begin
-      let v = cert.Canon.perm.(q) in
-      let _, count = Components.components_without h v in
-      if count <= 1 then cert.Canon.position_vertices.(q) else find (q - 1)
-    end
+    else if is_cut rows cert.Canon.perm.(q) then find (q - 1)
+    else cert.Canon.position_vertices.(q)
   in
-  find (size - 1)
+  find (Array.length rows - 1)
 
-let accepts h cert =
-  let k = Graph.n h - 1 in
-  canonical_deletion_orbit h cert land (1 lsl k) <> 0
+let accepts rows cert =
+  let k = Array.length rows - 1 in
+  canonical_deletion_orbit rows cert land (1 lsl k) <> 0
+
+(* The degree test: a child with a non-cut vertex u < k of higher degree
+   than the fresh vertex k is one [accepts] would reject, so it is
+   turned away before [Canon.cert]. [Canon.cert] fills positions one
+   [Canon.refine] class at a time, in color order; refinement starts
+   from ascending degree and only splits classes, so a vertex of higher
+   degree always gets a higher position. The canonical deletion is the
+   highest non-cut position q, so [perm.(q)] has the largest degree of
+   any non-cut vertex, and so does every vertex of its orbit
+   [position_vertices.(q)] (automorphisms keep degree). The fresh vertex
+   is never a cut vertex (removing it leaves the connected parent), so
+   a non-cut u with deg(u) > deg(k) keeps k out of that orbit. *)
+let outranked rows =
+  let k = Array.length rows - 1 in
+  let dk = Bitset.popcount rows.(k) in
+  let rec from u =
+    u < k && ((Bitset.popcount rows.(u) > dk && not (is_cut rows u)) || from (u + 1))
+  in
+  from 0
 
 (* Extend [g] (with its certificate) from [k = Graph.n g] vertices up to
    [target], depth-first, calling [f] on every accepted graph at level
@@ -95,19 +133,31 @@ let rec extend g cert target f =
           ignore (Union_find.union orbits mask (apply_mask sigma mask))
         done)
       cert.Canon.generators;
+    let parent = rows_of g in
+    let rows = Array.make (k + 1) 0 in
     let tried = Array.make (1 lsl k) false in
     for mask = 1 to (1 lsl k) - 1 do
       let orbit = Union_find.find orbits mask in
       if not tried.(orbit) then begin
         tried.(orbit) <- true;
         Telemetry.incr m_extensions;
-        let h = child_of g k mask in
-        let child_cert = Canon.cert h in
-        if accepts h child_cert then begin
-          Telemetry.incr m_generated;
-          extend h child_cert target f
+        for u = 0 to k - 1 do
+          rows.(u) <- parent.(u) lor (((mask lsr u) land 1) lsl k)
+        done;
+        rows.(k) <- mask;
+        if outranked rows then begin
+          Telemetry.incr m_pruned;
+          Telemetry.incr m_rejected
         end
-        else Telemetry.incr m_rejected
+        else begin
+          let h = child_of g k mask in
+          let child_cert = Canon.cert h in
+          if accepts rows child_cert then begin
+            Telemetry.incr m_generated;
+            extend h child_cert target f
+          end
+          else Telemetry.incr m_rejected
+        end
       end
     done
   end
@@ -181,7 +231,7 @@ let graph_of_mask n mask =
 let min_mask_graph g =
   let n = Graph.n g in
   if n > min_mask_vertices then invalid_arg "Orderly.min_mask_graph";
-  let adj = Array.init n (Graph.fold_neighbors (fun m w -> m lor (1 lsl w)) 0 g) in
+  let adj = rows_of g in
   let twins y y' = adj.(y) land lnot (1 lsl y') = adj.(y') land lnot (1 lsl y) in
   let best = ref max_int in
   (* the column of [y] placed at [hi] above [cells] (the top one without y) *)

@@ -242,6 +242,36 @@ let test_refine_oracle_small () =
 
 let test_refine_oracle_n8 () = check_refine_classes 8
 
+(* --- degrees along perm ------------------------------------------------------- *)
+
+(* Positions take [refine]'s classes in color order, and colors start
+   from ascending degree, so degrees never decrease along [perm].
+   [Orderly]'s degree test depends on it. *)
+let check_degree_order what g =
+  let degrees = Array.map (Graph.degree g) (Canon.cert g).Canon.perm in
+  let sorted = Array.copy degrees in
+  Array.sort Int.compare sorted;
+  check_int_array
+    (Printf.sprintf "%s %S: degrees along perm" what (Graph6.encode g))
+    sorted degrees
+
+(* every class up to n = 7, as generated and relabeled, and seeded
+   G(n, p) up to n = 16 *)
+let test_degree_order () =
+  for n = 1 to 7 do
+    let rng = Prng.create n in
+    Orderly.iter n (fun g _ ->
+        let perm = Array.init n Fun.id in
+        Prng.shuffle_in_place rng perm;
+        check_degree_order "class" g;
+        check_degree_order "relabeled class" (relabel g perm))
+  done;
+  let rng = Prng.create 16 in
+  for _ = 1 to 3000 do
+    let n = Prng.int rng 17 in
+    check_degree_order "G(n, p)" (Random_graphs.gnp rng n (Prng.float rng 1.0))
+  done
+
 let suite =
   [
     case "refine splits degrees" test_refine_splits_degrees;
@@ -265,4 +295,6 @@ let suite =
     case "refine = oracle: classes (n <= 7) relabeled too, empty, G(n, p) to n = 60"
       test_refine_oracle_small;
     slow_case "refine = oracle on every class (n = 8), relabeled too" test_refine_oracle_n8;
+    case "degrees never decrease along perm: classes (n <= 7), G(n, p) to n = 16"
+      test_degree_order;
   ]

@@ -163,6 +163,31 @@ let test_orderly_identity_n6 () =
   orderly_identity Game.Sum 6;
   orderly_identity Game.Max 6
 
+(* One n = 10 shard per game, pinned. From n = 10 on the census
+   represents a class by [Orderly.canonical_copy], not [min_mask_graph];
+   the digest is the MD5 of the representatives' graph6 lines, in
+   order. Recorded at a2c0e1a. *)
+let test_orderly_n10_shards () =
+  List.iter
+    (fun (game, lo, hi, connected, labeled, classes, histogram, digest) ->
+      let what = Printf.sprintf "%s n=10 [%d, %d)" (Game.to_string game) lo hi in
+      match Census.run_shard { (Census.full_shard Census.Orderly game 10) with Census.lo; hi } with
+      | Census.Orderly_result c ->
+        check_int (what ^ ": connected") connected c.Census.connected;
+        check_int (what ^ ": equilibria labeled") labeled c.Census.equilibria_labeled;
+        check_int (what ^ ": classes") classes (List.length c.Census.equilibria_iso);
+        Alcotest.(check (list (pair int int))) (what ^ ": histogram") histogram
+          c.Census.diameter_histogram;
+        let lines = List.map (fun g -> Graph6.encode g ^ "\n") c.Census.equilibria_iso in
+        Alcotest.(check string) (what ^ ": representatives") digest
+          (Digest.to_hex (Digest.string (String.concat "" lines)))
+      | _ -> Alcotest.fail (what ^ ": not an orderly result"))
+    [
+      (Game.Max, 0, 1, 36798569842, 511, 5, [ (2, 5) ], "36367696ee7f0ca88670e93d327a9d4a");
+      ( Game.Sum, 90, 91, 793422000, 793422000, 421, [ (2, 421) ],
+        "2a8e49005903049b53f79f044252fe00" );
+    ]
+
 let test_merge_result_rejects_mixed () =
   let t = Census.run_shard (Census.full_shard Census.Trees Game.Sum 4) in
   let g = Census.run_shard (Census.full_shard Census.Graphs Game.Sum 4) in
@@ -231,4 +256,6 @@ let suite =
     qcheck ~count:40 "orderly census: any adjacent-merge order is identical"
       QCheck2.Gen.(int_range 0 1_000_000)
       (merge_in_seeded_order orderly_perm_env);
+    slow_case "orderly n = 10 shards pinned (max roots [0, 1), sum [90, 91))"
+      test_orderly_n10_shards;
   ]

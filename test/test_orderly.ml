@@ -189,6 +189,33 @@ let test_min_mask_small () =
 
 let test_min_mask_n7 () = check_min_mask_classes 7
 
+(* The generation tree's counters, as deltas over one [Orderly.count]:
+   every extension is generated or rejected, and [pruned] counts the
+   rejections the degree test makes before [Canon.cert]. *)
+let tree_counters =
+  List.map Telemetry.counter
+    [
+      "census.orderly.extensions";
+      "census.orderly.generated";
+      "census.orderly.rejected";
+      "census.orderly.pruned";
+    ]
+
+let check_tree_counters n expected =
+  let was = Telemetry.enabled () in
+  Telemetry.set_enabled true;
+  let before = List.map Telemetry.counter_value tree_counters in
+  ignore (Orderly.count n);
+  let after = List.map Telemetry.counter_value tree_counters in
+  Telemetry.set_enabled was;
+  Alcotest.(check (list int))
+    (Printf.sprintf "n = %d: extensions, generated, rejected, pruned" n)
+    expected (List.map2 ( - ) after before)
+
+let test_tree_counters_n7 () = check_tree_counters 7 [ 4159; 995; 3164; 2835 ]
+
+let test_tree_counters_n8 () = check_tree_counters 8 [ 71300; 12112; 59188; 53532 ]
+
 let suite =
   [
     case "class counts = A001349 (n <= 7)" test_counts_small;
@@ -214,4 +241,6 @@ let suite =
       min_mask_exact;
     case "forms and emission order pinned (n <= 7)" test_emission_digests_small;
     slow_case "forms and emission order pinned (n = 8)" test_emission_digest_n8;
+    case "generation counters pinned (n = 7)" test_tree_counters_n7;
+    slow_case "generation counters pinned (n = 8)" test_tree_counters_n8;
   ]
