@@ -122,6 +122,28 @@ let with_stats stats stats_json f =
       r
   end
 
+(* -v: the library's Logs messages (Dynamics, Scale_dynamics) at Info
+   level, one line each on stderr, prefixed with their source *)
+let verbose_arg =
+  let doc = "Print the library's progress and summary log lines on stderr." in
+  Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
+
+let set_verbose verbose =
+  if verbose then begin
+    let report src _level ~over k msgf =
+      msgf @@ fun ?header:_ ?tags:_ fmt ->
+      Format.kfprintf
+        (fun _ ->
+          over ();
+          k ())
+        Format.err_formatter
+        ("%s: @[" ^^ fmt ^^ "@]@.")
+        (Logs.Src.name src)
+    in
+    Logs.set_reporter { Logs.report };
+    Logs.set_level (Some Logs.Info)
+  end
+
 (* a library precondition failure (bad -n, budget, ...) is a clean CLI
    error, not an uncaught exception *)
 let or_invalid f = try f () with Invalid_argument msg -> `Error (false, msg)
@@ -376,7 +398,8 @@ let dynamics_scale game n gen seed max_rounds budget probes patience
 
 let dynamics engine game n init gen seed max_rounds budget probes patience
     exact_confirm window ba_m er_deg ws_k ws_beta traj_every traj_sources
-    trace stats stats_json =
+    trace verbose stats stats_json =
+  set_verbose verbose;
   or_invalid @@ fun () ->
   with_stats stats stats_json @@ fun () ->
   at_least "--max-rounds" 0 max_rounds;
@@ -505,8 +528,8 @@ let dynamics_cmd =
       ret
         (const dynamics $ engine $ game_arg $ n $ init $ gen $ seed_arg $ rounds
        $ budget $ probes $ patience $ exact_confirm $ window $ ba_m $ er_deg
-       $ ws_k $ ws_beta $ traj_every $ traj_sources $ trace $ stats_arg
-       $ stats_json_arg))
+       $ ws_k $ ws_beta $ traj_every $ traj_sources $ trace $ verbose_arg
+       $ stats_arg $ stats_json_arg))
 
 (* --- census --------------------------------------------------------------- *)
 

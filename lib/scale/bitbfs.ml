@@ -60,31 +60,53 @@ let iter_bits f bits =
     b := !b lxor low
   done
 
-let seed_sources sc sources visit =
+(* Scatter kernel: a frontier queue per wave; each frontier word is pushed
+   through its row into the neighbours' [next] words. The sources are
+   seeded into [next] too, so every wave, 0 included, is promoted the same
+   way: [visit] sees the new bits, and only the vertices it keeps enter the
+   frontier. *)
+let run_until sc t ~sources ~visit =
+  let n = Flexcsr.n t in
+  let s = Array.length sources in
+  if s = 0 || s > max_sources then
+    invalid_arg "Bitbfs.run: need 1..max_sources sources";
+  if n > sc.size then invalid_arg "Bitbfs.run: scratch too small";
+  Array.iter
+    (fun src ->
+      if src < 0 || src >= n then invalid_arg "Bitbfs.run: source out of range")
+    sources;
+  Array.fill sc.seen 0 n 0;
+  Array.fill sc.front 0 n 0;
+  Array.fill sc.next 0 n 0;
+  Telemetry.incr m_runs;
+  let seen = sc.seen and front = sc.front and next = sc.next in
+  let off, len, arena = Flexcsr.rows t in
+  let promote q qlen wave =
+    let kept = ref 0 in
+    for qi = 0 to qlen - 1 do
+      let u = q.(qi) in
+      let bits = next.(u) in
+      next.(u) <- 0;
+      if visit u wave bits then begin
+        front.(u) <- bits;
+        q.(!kept) <- u;
+        incr kept
+      end
+    done;
+    !kept
+  in
   let qlen = ref 0 in
   Array.iteri
     (fun i src ->
-      let b = 1 lsl i in
-      if sc.front.(src) = 0 then begin
+      if next.(src) = 0 then begin
         sc.q.(!qlen) <- src;
         incr qlen
       end;
-      sc.front.(src) <- sc.front.(src) lor b;
-      sc.seen.(src) <- sc.seen.(src) lor b)
+      next.(src) <- next.(src) lor (1 lsl i);
+      seen.(src) <- seen.(src) lor (1 lsl i))
     sources;
-  for i = 0 to !qlen - 1 do
-    visit sc.q.(i) 0 sc.front.(sc.q.(i))
-  done;
-  !qlen
-
-(* Scatter kernel: a frontier queue per wave; each frontier word is pushed
-   through its row into the neighbours' [next] words. *)
-let run_scatter sc t ~sources ~visit =
-  let seen = sc.seen and front = sc.front and next = sc.next in
-  let off, len, arena = Flexcsr.rows t in
-  let qlen = seed_sources sc sources visit in
   let cur = ref sc.q and nxt = ref sc.q2 in
-  let curlen = ref qlen in
+  let curlen = ref (promote sc.q !qlen 0) in
   let wave = ref 0 in
   let words = ref 0 in
   while !curlen > 0 do
@@ -110,33 +132,16 @@ let run_scatter sc t ~sources ~visit =
       done;
       front.(v) <- 0
     done;
-    for qi = 0 to !nlen - 1 do
-      let u = nq.(qi) in
-      front.(u) <- next.(u);
-      next.(u) <- 0;
-      visit u !wave front.(u)
-    done;
+    curlen := promote nq !nlen !wave;
     cur := nq;
-    nxt := cq;
-    curlen := !nlen
+    nxt := cq
   done;
   Telemetry.add m_words !words
 
 let run sc t ~sources ~visit =
-  let n = Flexcsr.n t in
-  let s = Array.length sources in
-  if s = 0 || s > max_sources then
-    invalid_arg "Bitbfs.run: need 1..max_sources sources";
-  if n > sc.size then invalid_arg "Bitbfs.run: scratch too small";
-  Array.iter
-    (fun src ->
-      if src < 0 || src >= n then invalid_arg "Bitbfs.run: source out of range")
-    sources;
-  Array.fill sc.seen 0 n 0;
-  Array.fill sc.front 0 n 0;
-  Array.fill sc.next 0 n 0;
-  Telemetry.incr m_runs;
-  run_scatter sc t ~sources ~visit
+  run_until sc t ~sources ~visit:(fun u wave bits ->
+      visit u wave bits;
+      true)
 
 type stats = { ecc : int; sum : int; reached : int }
 

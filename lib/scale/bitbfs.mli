@@ -43,6 +43,27 @@ val run :
     0).
     @raise Invalid_argument on 0 or more than {!max_sources} sources. *)
 
+val run_until :
+  scratch ->
+  Flexcsr.t ->
+  sources:int array ->
+  visit:(int -> int -> int -> bool) ->
+  unit
+(** {!run} whose [visit u wave bits] also says whether to expand [u]: on
+    [false], the bits that reached [u] at this wave go no further through
+    [u]. The one kernel; {!run} is [run_until] with a visit that returns
+    [true].
+
+    Pruning contract: a source's bit reaches [u] at its true distance
+    exactly when some shortest path from the source to [u] has [visit]
+    return [true] at each vertex before [u], at that vertex's own
+    distance. Otherwise it reaches [u] later than its distance, or never.
+    So a [visit] that returns [wave < r] gives {!run}'s triples with
+    [wave <= r]. The scale engine's horizon (DESIGN.md "Large-n
+    dynamics") prunes a bit only where it could lower no bound further
+    along.
+    Telemetry counts expanded frontier words only. *)
+
 val iter_bits : (int -> unit) -> int -> unit
 (** [iter_bits f bits] calls [f] on each set bit index, lowest first. *)
 

@@ -172,3 +172,84 @@ let bfs_delete_stats t src ~drop ~dist ~queue =
 let bfs_swap_stats t src ~drop ~add ~dist ~queue =
   if mem_edge t src add then invalid_arg "Flexcsr.bfs_swap_stats: add present";
   bfs_core t src ~drop ~add ~dist ~queue
+
+(* A vertex's set of first hops is the union of its predecessors' sets, so
+   keeping a singleton or -1 costs one compare per edge into the next
+   level. The source row is scanned first: each neighbour is its own hop. *)
+let bfs_hop_stats t src ~dist ~hop ~queue =
+  Array.fill dist 0 t.n (-1);
+  dist.(src) <- 0;
+  hop.(src) <- -1;
+  queue.(0) <- src;
+  let arena = t.arena and off = t.off and len = t.len in
+  let tail = ref 1 in
+  for i = off.(src) to off.(src) + len.(src) - 1 do
+    let w = arena.(i) in
+    dist.(w) <- 1;
+    hop.(w) <- w;
+    queue.(!tail) <- w;
+    incr tail
+  done;
+  let head = ref 1 and sum = ref len.(src) in
+  while !head < !tail do
+    let v = queue.(!head) in
+    incr head;
+    let dnext = dist.(v) + 1 and h = hop.(v) in
+    for i = off.(v) to off.(v) + len.(v) - 1 do
+      let u = arena.(i) in
+      let du = dist.(u) in
+      if du < 0 then begin
+        dist.(u) <- dnext;
+        hop.(u) <- h;
+        sum := !sum + dnext;
+        queue.(!tail) <- u;
+        incr tail
+      end
+      else if du = dnext && hop.(u) <> h then hop.(u) <- -1
+    done
+  done;
+  (!tail, !sum, dist.(queue.(!tail - 1)))
+
+(* In BFS order, so that a vertex's predecessors are settled before it.
+   The drops are the source's neighbours, at level 1, ahead of every
+   vertex whose first hop they are: marking them in [excess] first lets
+   each later vertex read excess.(hop) as "my first hop is a drop". *)
+let drop_excess t ~drops ~reached ~dist ~hop ~queue ~excess =
+  let src = queue.(0) in
+  iter_neighbors (fun y -> excess.(y) <- 0) t src;
+  Array.iter
+    (fun w ->
+      if w < 0 || w >= t.n || dist.(w) <> 1 || excess.(w) <> 0 then
+        invalid_arg "Flexcsr.drop_excess: drops must be distinct neighbours of the source";
+      excess.(w) <- 1)
+    drops;
+  excess.(src) <- 0;
+  let sums = Array.make (Array.length drops) 0 in
+  let arena = t.arena and off = t.off and len = t.len in
+  for qi = 1 to reached - 1 do
+    let u = queue.(qi) in
+    let w = hop.(u) in
+    if w < 0 || excess.(w) = 0 then excess.(u) <- 0
+    else begin
+      (* excess 1: a path of length d(u) + 1 avoiding vw, whose last step
+         comes from a level-mate with another first hop or from a
+         predecessor that already has excess 1 *)
+      let du = dist.(u) in
+      let e = ref 2 and i = ref off.(u) in
+      let stop = off.(u) + len.(u) in
+      while !e = 2 && !i < stop do
+        let y = arena.(!i) in
+        let dy = dist.(y) in
+        if (dy = du && hop.(y) <> w) || (dy = du - 1 && hop.(y) = w && excess.(y) = 1)
+        then e := 1;
+        incr i
+      done;
+      excess.(u) <- !e;
+      let k = ref 0 in
+      while drops.(!k) <> w do
+        incr k
+      done;
+      sums.(!k) <- sums.(!k) + !e
+    end
+  done;
+  sums

@@ -15,7 +15,9 @@
     scalar kernels of the scale engine; the swap/deletion variants answer
     "distances after this move" {e without mutating the graph} by special-
     casing the source row, so an exact candidate evaluation is one BFS, not
-    apply + BFS + undo. *)
+    apply + BFS + undo. {!bfs_hop_stats} and {!drop_excess} give, from one
+    BFS, the distances after {e each} deletion of a source edge, capped at
+    two more than before: the drop rows of the engine's swap bound. *)
 
 type t
 
@@ -81,3 +83,42 @@ val bfs_swap_stats :
   int * int * int
 (** Distances from [src] in [G − (src,drop) + (src,add)], without mutating
     [t]. Requires [add] not currently adjacent to [src]. *)
+
+(** {1 First hops}
+
+    For a source v, a vertex u and a neighbour w of v, write d(u) for the
+    distance from v and dd_w(u) for the distance in [G − (v,w)]. *)
+
+val bfs_hop_stats :
+  t ->
+  int ->
+  dist:int array ->
+  hop:int array ->
+  queue:int array ->
+  int * int * int
+(** {!bfs_stats} that also labels first hops: [hop.(u)] is the neighbour
+    w of [src] when every shortest src–u path starts with the edge
+    (src, w), and −1 when they start with different edges (and at [src]).
+    Leaves the reached vertices in [queue.(0 .. reached − 1)], in BFS
+    order. Entries of [hop] at unreached vertices are unspecified. *)
+
+val drop_excess :
+  t ->
+  drops:int array ->
+  reached:int ->
+  dist:int array ->
+  hop:int array ->
+  queue:int array ->
+  excess:int array ->
+  int array
+(** After [bfs_hop_stats t src] has filled [dist], [hop] and [queue] and
+    returned [reached]: for every reached u, [excess.(u)] is 0 unless
+    [hop.(u)] is one of [drops], and then it is
+    [min(dd_w(u), d(u) + 2) − d(u)] (1 or 2) for w = [hop.(u)]. So for
+    every drop w, [d(u) + (if hop.(u) = w then excess.(u) else 0)] is
+    [min(dd_w(u), 2 + d(u))], since dd_w(u) = d(u) when a shortest path
+    avoids (src, w). Returns, per drop, the sum of [excess] over the
+    vertices whose first hop it is. One pass in BFS order; rows are scanned
+    only at vertices whose first hop is a drop.
+    @raise Invalid_argument unless [drops] are distinct neighbours of
+    [src]. *)

@@ -98,17 +98,16 @@ let run ?rng cfg csr =
   let queue = Array.make n 0 in
   let reached0, _, _ = Flexcsr.bfs_stats fx 0 ~dist:dist_v ~queue in
   if reached0 < n then invalid_arg "Scale_dynamics.run: input must be connected";
+  (* the focal agent's first hops and each vertex's drop excess: with
+     dist_v, the whole state of the sum bound (DESIGN.md "Large-n
+     dynamics") *)
+  let hop = Array.make n (-1) in
+  let excess = Array.make n 0 in
   let bsc = Bitbfs.create_scratch n in
-  (* drop rows of the bound batch, allocated lazily and reused per probe;
-     a probe has at most [budget] distinct drops (slots) *)
-  let rows = Array.make cfg.budget [||] in
-  let row_base = Array.make cfg.budget 0 in
-  let get_row slot =
-    if Array.length rows.(slot) < n then rows.(slot) <- Array.make n (-1);
-    rows.(slot)
-  in
-  (* per bound batch: each slot's source bits and the (slot, bit) ->
-     candidate table, grown to the most slots a probe has used *)
+  (* per bound batch: a probe's distinct drops (slots, at most [budget]),
+     each slot's source bits and the (slot, bit) -> candidate table, grown
+     to the most slots a probe has used *)
+  let slot_drop = Array.make cfg.budget 0 in
   let slot_mask = Array.make cfg.budget 0 in
   let slot_cand = ref [||] in
   let inf = Usage_cost.infinite in
@@ -199,7 +198,12 @@ let run ?rng cfg csr =
     let deg = Flexcsr.degree fx v in
     if deg = 0 then None
     else begin
-      let reached, sum_v, ecc_v = Flexcsr.bfs_stats fx v ~dist:dist_v ~queue in
+      (* only the sum bound reads first hops *)
+      let reached, sum_v, ecc_v =
+        match version with
+        | Usage_cost.Sum -> Flexcsr.bfs_hop_stats fx v ~dist:dist_v ~hop ~queue
+        | Usage_cost.Max -> Flexcsr.bfs_stats fx v ~dist:dist_v ~queue
+      in
       Telemetry.incr m_bfs;
       if reached < n then invalid_arg "Scale_dynamics: graph became disconnected";
       let row = Flexcsr.neighbors fx v in
@@ -252,37 +256,35 @@ let run ?rng cfg csr =
           else begin
             if version = Usage_cost.Sum then begin
               let t0 = Telemetry.start () in
-              (* one BFS per distinct drop w: distances from v in G − vw,
-                 stored in the drop's row as a_w(u) = min(dd_w(u),
-                 2 + d_v(u)) and summed into the base; G is connected,
-                 so d_v(u) >= 0 and every a_w(u) is finite *)
-              let drop_slot = Hashtbl.create 8 in
-              let nrows = ref 0 in
+              (* the distinct drops get slots. Drop w's row would hold
+                 a_w(u) = min(dd_w(u), 2 + d_v(u)), which is d_v(u) plus
+                 excess(u) when hop(u) = w and d_v(u) otherwise, so its
+                 sum, the base of w's candidates, is sum_v plus the
+                 excesses of w's vertices *)
+              let nslots = ref 0 in
               for c = 0 to !ncand - 1 do
                 let w = cand_drop.(c) in
-                (match Hashtbl.find_opt drop_slot w with
-                | Some slot -> cand_slot.(c) <- slot
-                | None ->
-                  let slot = !nrows in
-                  incr nrows;
-                  Hashtbl.add drop_slot w slot;
-                  cand_slot.(c) <- slot;
-                  let a = get_row slot in
-                  let _ = Flexcsr.bfs_delete_stats fx v ~drop:w ~dist:a ~queue in
-                  Telemetry.incr m_bfs;
-                  let b = ref 0 in
-                  for u = 0 to n - 1 do
-                    let cap = 2 + dist_v.(u) in
-                    let dd = a.(u) in
-                    if dd < 0 || dd > cap then a.(u) <- cap;
-                    b := !b + a.(u)
-                  done;
-                  row_base.(slot) <- !b);
-                acc.(c) <- row_base.(cand_slot.(c))
+                let slot = ref 0 in
+                while !slot < !nslots && slot_drop.(!slot) <> w do
+                  incr slot
+                done;
+                if !slot = !nslots then begin
+                  slot_drop.(!slot) <- w;
+                  incr nslots
+                end;
+                cand_slot.(c) <- !slot
               done;
-              let nrows = !nrows in
-              if Array.length !slot_cand < nrows * Bitbfs.max_sources then
-                slot_cand := Array.make (nrows * Bitbfs.max_sources) 0;
+              let nslots = !nslots in
+              let base =
+                Flexcsr.drop_excess fx
+                  ~drops:(Array.sub slot_drop 0 nslots)
+                  ~reached ~dist:dist_v ~hop ~queue ~excess
+              in
+              for c = 0 to !ncand - 1 do
+                acc.(c) <- sum_v + base.(cand_slot.(c))
+              done;
+              if Array.length !slot_cand < nslots * Bitbfs.max_sources then
+                slot_cand := Array.make (nslots * Bitbfs.max_sources) 0;
               let slot_cand = !slot_cand in
               (* the distinct adds are the sources of the bit-parallel
                  batches *)
@@ -308,7 +310,7 @@ let run ?rng cfg csr =
                 (* a drop slot's mask has bit i when the batch's source i
                    is the add of one of the slot's candidates, found at
                    slot_cand.(slot * max_sources + i) *)
-                Array.fill slot_mask 0 nrows 0;
+                Array.fill slot_mask 0 nslots 0;
                 for c = 0 to !ncand - 1 do
                   let i = cand_src.(c) - lo in
                   if i >= 0 && i < k then begin
@@ -319,29 +321,38 @@ let run ?rng cfg csr =
                 done;
                 (* source x first reaches u at wave = d(x,u), so the new
                    edge vx lowers the bound's u-term from a_w(u) to
-                   1 + wave when that is smaller. Past wave d_v(u),
-                   1 + wave >= 2 + d_v(u) >= a_w(u): nothing to lower *)
-                Bitbfs.run bsc fx
+                   1 + wave when that is smaller: by g = a_w(u) − 1 −
+                   wave > 0. The largest a_w(u) is d_v(u) + excess(u), so
+                   past wave d_v(u) − 2 + excess(u) nothing at u, nor
+                   beyond it on a shortest path from x, can be lowered:
+                   the batch stops expanding u there *)
+                Bitbfs.run_until bsc fx
                   ~sources:(Array.sub srcs lo k)
                   ~visit:(fun u wave bits ->
-                    if wave <= dist_v.(u) then
-                      for s = 0 to nrows - 1 do
-                        let m = bits land slot_mask.(s) in
-                        if m <> 0 then begin
-                          let g = rows.(s).(u) - 1 - wave in
-                          if g > 0 then begin
-                            let m = ref m and t = ref (s * Bitbfs.max_sources) in
-                            while !m <> 0 do
-                              if !m land 1 <> 0 then begin
-                                let c = slot_cand.(!t) in
-                                acc.(c) <- acc.(c) - g
-                              end;
-                              m := !m lsr 1;
-                              incr t
-                            done
-                          end
-                        end
-                      done);
+                    let du = dist_v.(u) and e = excess.(u) in
+                    wave <= du - 2 + e
+                    && begin
+                         let hu = hop.(u) in
+                         for s = 0 to nslots - 1 do
+                           let m = bits land slot_mask.(s) in
+                           if m <> 0 then begin
+                             let a = if slot_drop.(s) = hu then du + e else du in
+                             let g = a - 1 - wave in
+                             if g > 0 then begin
+                               let m = ref m and t = ref (s * Bitbfs.max_sources) in
+                               while !m <> 0 do
+                                 if !m land 1 <> 0 then begin
+                                   let c = slot_cand.(!t) in
+                                   acc.(c) <- acc.(c) - g
+                                 end;
+                                 m := !m lsr 1;
+                                 incr t
+                               done
+                             end
+                           end
+                         done;
+                         true
+                       end);
                 pos := lo + k
               done;
               Telemetry.stop m_bound t0
@@ -495,6 +506,8 @@ let run ?rng cfg csr =
              raise Exit
            | _ -> ())
        done;
+       Log.info (fun m ->
+           m "round %d/%d: %d moves, %d probes" !rounds cfg.max_rounds !moves !probes);
        if cfg.trajectory_every > 0 && !rounds mod cfg.trajectory_every = 0 then
          take_sample !rounds;
        if (not !progressed) && cfg.confirm = Exact_scan then begin

@@ -14,18 +14,25 @@
       Random_agent }] move-for-move, delta-for-delta — the differential
       test anchor;
     - {b batched certified bounds} (sum version): for a probe's candidate
-      set, one scalar BFS per distinct drop and bit-parallel {!Bitbfs}
-      batches over the distinct adds yield a sound lower bound
-      [Σ_u min(dd_w(u), 1 + d(x,u), 2 + d(v,u))] on the actor's
-      post-swap cost. The first two terms alone are a lower bound; the
-      third only weakens it, but keeps every term finite and lets the
-      batches ignore a vertex [u] once the wave passes [d(v,u)]. Each
-      drop's row holds [a_w(u) = min(dd_w(u), 2 + d(v,u))]; the batch
-      visit lowers a candidate's sum by [a_w(u) − 1 − d(x,u)] where that
-      is positive, through a per-drop mask of the batch's source bits
-      and a (drop, bit) → candidate table. Candidates whose bound already
-      meets the cutoff are skipped with no further work, the rest fall
-      back to one exact mutation-free BFS ({!Flexcsr.bfs_swap_stats});
+      set, the actor's one BFS ({!Flexcsr.bfs_hop_stats}) and bit-parallel
+      {!Bitbfs} batches over the distinct adds yield a sound lower bound
+      [Σ_u min(dd_w(u), 1 + d(x,u), 2 + d(v,u))] on the actor's post-swap
+      cost. The first two terms alone are a lower bound; the third only
+      weakens it, but keeps every term finite and bounds how far a batch
+      must go. Drop w's term [a_w(u) = min(dd_w(u), 2 + d(v,u))] is
+      [d(v,u)] unless every shortest v–u path starts with vw, and then
+      [d(v,u)] plus an excess of 1 or 2 that one pass in BFS order
+      computes for all the probe's drops ({!Flexcsr.drop_excess}): the
+      engine keeps three n-int arrays (distances, first hops, excesses)
+      and no per-drop rows. The batch visit lowers a candidate's sum by
+      [a_w(u) − 1 − d(x,u)] where that is positive, through a per-drop
+      mask of the batch's source bits and a (drop, bit) → candidate
+      table, and stops expanding u past wave [max_w a_w(u) − 2]
+      ({!Bitbfs.run_until}), after which no candidate can be lowered at
+      u or beyond it — so each bound is the integer the full batch
+      gives. Candidates whose bound already meets the cutoff are skipped
+      with no further work, the rest fall back to one exact
+      mutation-free BFS ({!Flexcsr.bfs_swap_stats});
     - {b rolling state fingerprint}: an XOR of per-edge hashes updated in
       O(1) per move detects revisited states over a bounded [window] of
       recent states (deletions strictly shrink the edge set and never
@@ -39,9 +46,12 @@
     a certificate — see DESIGN.md "Large-n dynamics".
 
     Telemetry (under [scale.dynamics.*]): probes, moves, deletions,
-    rounds, certified skips, exact evaluations, scalar BFS runs; the
-    spans [bound] (a sum probe's drop rows and batches) and [exact] (one
-    exact evaluation of a sampled candidate). *)
+    rounds, certified skips, exact evaluations, scalar BFS runs (one per
+    probe plus one per exact evaluation, and the max game's deletion
+    checks); the spans [bound] (a sum probe's drop excesses and batches)
+    and [exact] (one exact evaluation of a sampled candidate). Logs (source
+    [bncg.scale]): one Info line per round (round, moves and probes so
+    far) and one at the end. *)
 
 type confirm =
   | Exact_scan

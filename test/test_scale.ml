@@ -114,6 +114,92 @@ let test_flexcsr_bfs_kernels () =
     end
   done
 
+let test_hop_excess_oracle () =
+  (* from every source v of seeded BA (m = 1: a tree, so every drop cuts;
+     m = 2), ER and WS graphs: the hop-labelled BFS is bfs_stats, hop(u) =
+     w exactly when dropping vw lengthens d(u), and for every drop w,
+     d(u) + [hop(u) = w]·excess(u) = min(dd_w(u), 2 + d(u)) with dd_w
+     from bfs_delete_stats. The drops are all of v's neighbours, then
+     every other one, where a vertex whose first hop is no drop must have
+     excess 0. *)
+  List.iter
+    (fun csr ->
+      let fx = Flexcsr.of_csr csr in
+      let n = Flexcsr.n fx in
+      let dist = Array.make n 0 and hop = Array.make n 0 in
+      let queue = Array.make n 0 and excess = Array.make n 0 in
+      let od = Array.make n 0 and oq = Array.make n 0 in
+      for v = 0 to n - 1 do
+        let ((reached, sum, _) as got) = Flexcsr.bfs_hop_stats fx v ~dist ~hop ~queue in
+        check_true "hop bfs stats" (got = Flexcsr.bfs_stats fx v ~dist:od ~queue:oq);
+        check_true "hop bfs dist" (dist = od);
+        let row = Flexcsr.neighbors fx v in
+        let dd =
+          Array.map
+            (fun w ->
+              let d = Array.make n 0 in
+              ignore (Flexcsr.bfs_delete_stats fx v ~drop:w ~dist:d ~queue:oq);
+              d)
+            row
+        in
+        let capped i u = if dd.(i).(u) < 0 then 2 + dist.(u) else min dd.(i).(u) (2 + dist.(u)) in
+        let hops_ok = ref true in
+        for u = 0 to n - 1 do
+          Array.iteri
+            (fun i w ->
+              if u <> v && (hop.(u) = w) <> (capped i u > dist.(u)) then hops_ok := false)
+            row
+        done;
+        check_true "first hops" !hops_ok;
+        List.iter
+          (fun keep ->
+            let picked = List.filter keep (List.init (Array.length row) Fun.id) in
+            let drops = Array.of_list (List.map (fun i -> row.(i)) picked) in
+            let sums = Flexcsr.drop_excess fx ~drops ~reached ~dist ~hop ~queue ~excess in
+            List.iteri
+              (fun k i ->
+                let rows_ok = ref true and total = ref 0 in
+                for u = 0 to n - 1 do
+                  let a = capped i u in
+                  total := !total + a;
+                  if dist.(u) + (if hop.(u) = row.(i) then excess.(u) else 0) <> a then
+                    rows_ok := false
+                done;
+                check_true "drop row" !rows_ok;
+                check_int "drop row sum" !total (sum + sums.(k)))
+              picked;
+            let others_ok = ref true in
+            for u = 0 to n - 1 do
+              if (not (Array.mem hop.(u) drops)) && excess.(u) <> 0 then others_ok := false
+            done;
+            check_true "no excess off the drops" !others_ok)
+          [ (fun _ -> true); (fun i -> i mod 2 = 0) ]
+      done)
+    (List.concat_map
+       (fun seed ->
+         let n = 100 * seed in
+         [
+           Scale_gen.ba ~seed ~n ~m:1;
+           Scale_gen.ba ~seed ~n ~m:2;
+           Scale_gen.er ~seed ~n ~avg_deg:3.0;
+           Scale_gen.ws ~seed ~n ~k:2 ~beta:0.1;
+         ])
+       [ 1; 2; 3 ]);
+  (* the drops must be distinct neighbours of the source: from vertex 1 of
+     the path 0-1-2-3, neither 3 nor 1 itself is one, and 0 must not
+     repeat *)
+  let fx = Flexcsr.of_graph (Generators.path 4) in
+  let dist = Array.make 4 0 and hop = Array.make 4 0 in
+  let queue = Array.make 4 0 and excess = Array.make 4 0 in
+  let reached, _, _ = Flexcsr.bfs_hop_stats fx 1 ~dist ~hop ~queue in
+  List.iter
+    (fun drops ->
+      check_true "bad drops rejected"
+        (match Flexcsr.drop_excess fx ~drops ~reached ~dist ~hop ~queue ~excess with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ [| 3 |]; [| 0; 0 |]; [| 1 |] ]
+
 (* --- Csr.of_edges ------------------------------------------------------ *)
 
 let test_of_edges_matches_of_graph () =
@@ -147,6 +233,35 @@ let test_bitbfs_oracle_200 () =
     let got = Bitbfs.distances sc fx ~sources in
     let oracle = Csr.all_pairs csr in
     check_true "bitbfs distances" (got = oracle)
+  done
+
+let test_bitbfs_run_until () =
+  (* the one kernel under both entry points: a visit that always expands
+     gives run's (vertex, wave, bits) triples in run's order; one that
+     expands below wave r gives those up to wave r *)
+  for seed = 1 to 200 do
+    let n = 4 + (seed mod 70) in
+    let m = n - 1 + (seed mod (n / 2 + 1)) in
+    let fx = Flexcsr.of_graph (connected_graph seed n m) in
+    let sc = Bitbfs.create_scratch n in
+    let sources = Array.init (min Bitbfs.max_sources ((n + 2) / 3)) (fun i -> 3 * i) in
+    let triples run =
+      let out = ref [] in
+      run (fun u wave bits -> out := (u, wave, bits) :: !out);
+      List.rev !out
+    in
+    let full = triples (fun f -> Bitbfs.run sc fx ~sources ~visit:f) in
+    let until expand =
+      triples (fun f ->
+          Bitbfs.run_until sc fx ~sources ~visit:(fun u wave bits ->
+              f u wave bits;
+              expand wave))
+    in
+    check_true "always expand" (until (fun _ -> true) = full);
+    for r = 0 to 3 do
+      check_true "expand below wave r"
+        (until (fun wave -> wave < r) = List.filter (fun (_, wave, _) -> wave <= r) full)
+    done
   done
 
 let test_bitbfs_sample_stats () =
@@ -340,6 +455,51 @@ let test_differential_multi_batch () =
       | _ -> assert false)
     [ (1, 28169, 740); (2, 28194, 611); (3, 28206, 697); (4, 28095, 719) ]
 
+let test_differential_bridges () =
+  (* the multi-batch run on sparser graphs: every edge of a BA m = 1 tree
+     is a bridge, so each drop cuts a side off the actor (excess 2), and
+     WS k = 2 mixes bridges into a lattice. Moves, skips and evaluations
+     are pinned as in the BA m = 2 case above. *)
+  List.iter
+    (fun (gen, pins) ->
+      List.iter
+        (fun (seed, moves, skips, evals) ->
+          let g = Csr.to_graph (gen seed) in
+          match
+            traced
+              [
+                counter "scale.dynamics.probes";
+                counter "scale.bitbfs.runs";
+                counter "scale.dynamics.moves";
+                counter "scale.dynamics.certified_skips";
+                counter "scale.dynamics.exact_evals";
+              ]
+              (fun () -> check_differential ~max_rounds:2 Game.Sum 100 seed g)
+          with
+          | [ probes; runs; moved; certified; exact ] ->
+            check_true "second batches ran" (runs > probes);
+            check_int "moves" moves moved;
+            check_int "certified skips" skips certified;
+            check_int "exact evaluations" evals exact
+          | _ -> assert false)
+        pins)
+    [
+      ( (fun seed -> Scale_gen.ba ~seed ~n:150 ~m:1),
+        [
+          (1, 133, 27997, 1195);
+          (2, 152, 27554, 1509);
+          (3, 122, 27478, 1621);
+          (4, 131, 27303, 1743);
+        ] );
+      ( (fun seed -> Scale_gen.ws ~seed ~n:150 ~k:2 ~beta:0.1),
+        [
+          (1, 271, 27736, 1016);
+          (2, 264, 27768, 1065);
+          (3, 277, 27720, 1062);
+          (4, 266, 27819, 1032);
+        ] );
+    ]
+
 let test_spans () =
   (* the bound span times the drop rows and the batches of every sum
      probe that has a candidate; the exact span times each exact
@@ -430,8 +590,10 @@ let suite =
     case "flexcsr mutation oracle" test_flexcsr_mutation_oracle;
     case "flexcsr hub relocation" test_flexcsr_hub_relocation;
     case "flexcsr bfs kernels" test_flexcsr_bfs_kernels;
+    case "flexcsr first hops and drop excess" test_hop_excess_oracle;
     case "csr of_edges" test_of_edges_matches_of_graph;
     slow_case "bitbfs oracle x200" test_bitbfs_oracle_200;
+    case "bitbfs run_until vs run x200" test_bitbfs_run_until;
     case "bitbfs sample stats" test_bitbfs_sample_stats;
     case "iter_bits" test_iter_bits;
     case "ba invariants" test_ba_invariants;
@@ -445,5 +607,7 @@ let suite =
     case "scale run deterministic" test_scale_run_deterministic;
     slow_case "differential, multi-batch bound (n = 150, budget 100)"
       test_differential_multi_batch;
+    case "multi-batch differential on bridges (BA m = 1, WS k = 2)"
+      test_differential_bridges;
     case "bound and exact spans" test_spans;
   ]
