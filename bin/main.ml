@@ -564,6 +564,11 @@ let census game n trees jobs workers parts retries timeout journal atlas_dir
     stats stats_json =
   or_invalid @@ fun () ->
   with_stats stats stats_json @@ fun () ->
+  at_least "--parts" 0 parts;
+  at_least "--retries" 1 retries;
+  (* [not (_ > 0.)] also turns away nan; infinity means no deadline *)
+  if not (timeout > 0.) then
+    invalid_arg (Printf.sprintf "--timeout must be > 0 (got %g)" timeout);
   let kind = if trees then Census.Trees else Census.graph_kind game in
   (* Census.full_shard's cap, in the flags that pick the census kind *)
   let max_n = Census.max_shard_vertices kind in
@@ -770,6 +775,7 @@ let hunt n target_diameter steps seed game stats stats_json =
   or_invalid @@ fun () ->
   with_stats stats stats_json @@ fun () ->
   if n < 2 then invalid_arg (Printf.sprintf "hunt needs -n >= 2 (got %d)" n);
+  at_least "--steps" 0 steps;
   let rng = Prng.create seed in
   let cfg = { (Hunt.default_config ~game ~n ~target_diameter ()) with Hunt.steps } in
   let r = Hunt.run rng cfg in

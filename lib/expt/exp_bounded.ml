@@ -45,7 +45,7 @@ let e21_bounded_agents ?(n = 24) ?(seeds = 5) () =
       let residuals =
         Array.of_list
           (List.map
-             (fun r -> Hunt.violating_agents Game.Sum r.Dynamics.final)
+             (fun r -> Equilibrium.violating_agents Game.Sum r.Dynamics.final)
              runs)
       in
       let rounds = Array.of_list (List.map (fun r -> r.Dynamics.rounds) conv) in

@@ -10,9 +10,10 @@ val e2_max_tree_census : ?max_n:int -> unit -> unit
     double stars with both arms >= 2, diameter <= 3 with 3 attained. *)
 
 val e1b_trees_at_scale : ?sizes:int list -> unit -> unit
-(** Theorem 1 at large n: best-response convergence of random trees using
-    the O(1)-per-swap evaluator ({!Tree_opt}), sizes in the hundreds.
-    Every run must end in a star. *)
+(** Theorems 1 and 4 at large n: round-robin best-response dynamics
+    ({!Dynamics.converge_sum} / {!Dynamics.converge_max}) from random trees
+    and paths, sizes in the hundreds. Every sum run must end in a star,
+    every max run in a star or double star (diameter <= 3). *)
 
 val e2b_double_star_family : ?max_arm:int -> unit -> unit
 (** The Figure 2 boundary: double_star(a, b) is a max equilibrium iff

@@ -76,8 +76,6 @@ let dist ws v =
 
 let reached ws = ws.last_reached
 
-let sum_dist ws = ws.last_sum
-
 let ecc ws = ws.last_ecc
 
 let distances g src =

@@ -27,10 +27,6 @@ val dist : workspace -> int -> int
 val reached : workspace -> int
 (** Number of vertices reached by the last {!run} (including the source). *)
 
-val sum_dist : workspace -> int
-(** Sum of finite distances from the last {!run}. Meaningful as a usage cost
-    only when [reached ws = Graph.n g]. *)
-
 val ecc : workspace -> int
 (** Largest finite distance from the last {!run}. *)
 

@@ -75,8 +75,10 @@ val find_violation : t -> (move * float) option
     {!is_local_equilibrium}. *)
 
 val best_response_exists : t -> bool
-(** Some agent has a strictly improving local move — the witness-level
-    query {!Equilibrium.check} dispatches to for [Alpha] games. *)
+(** Some agent has a strictly improving local move
+    ([find_violation t <> None]). {!Equilibrium.check} runs its own
+    agent-by-agent {!first_improving_move} scan and does not call
+    this. *)
 
 val actor : move -> int
 

@@ -110,8 +110,7 @@ let check_alpha alpha g =
   let t0 = Telemetry.start () in
   let st = Alpha_game.create ~alpha g in
   let verdict =
-    if Usage_cost.is_infinite (Usage_cost.social_cost Usage_cost.Sum g) then
-      Disconnected
+    if not (Components.is_connected g) then Disconnected
     else begin
       let n = Graph.n g in
       let rec scan v =
@@ -143,6 +142,25 @@ let check ?pool game g =
     check_alpha a g
 
 let is_equilibrium ?pool game g = check ?pool game g = Equilibrium
+
+let violating_agents game g =
+  let violates =
+    match game with
+    | Game.Sum ->
+      let eng = Swap_eval.create g in
+      fun v -> agent_violation_sum eng v <> None
+    | Game.Max ->
+      let eng = Swap_eval.create g in
+      fun v -> agent_violation_max eng v <> None
+    | Game.Alpha alpha ->
+      let st = Alpha_game.create ~alpha g in
+      fun v -> Alpha_game.first_improving_move st v <> None
+  in
+  let count = ref 0 in
+  for v = 0 to Graph.n g - 1 do
+    if violates v then incr count
+  done;
+  !count
 
 let check_sum ?pool g = check ?pool Game.Sum g
 

@@ -35,6 +35,13 @@ val check : ?pool:Pool.t -> Game.t -> Graph.t -> verdict
 
 val is_equilibrium : ?pool:Pool.t -> Game.t -> Graph.t -> bool
 
+val violating_agents : Game.t -> Graph.t -> int
+(** Number of agents holding at least one improving move, found with
+    {!check}'s own per-agent scans: 0 iff equilibrium for connected
+    graphs. For [Max] an agent also violates by holding a non-critical
+    deletion; for [Alpha _] the moves are Buy/Sell/Swap_owned under
+    default ownership. The local-search objective of {!Hunt}. *)
+
 (** {1 Sum version} *)
 
 val check_sum : ?pool:Pool.t -> Graph.t -> verdict

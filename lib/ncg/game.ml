@@ -13,8 +13,6 @@ let basic = function
 
 let is_basic g = basic g <> None
 
-let of_version = function Usage_cost.Sum -> Sum | Usage_cost.Max -> Max
-
 (* Shortest decimal form that parses back to exactly the same float, so
    the qcheck round-trip [of_string (to_string g) = Ok g] holds and the
    wire/atlas spelling of an alpha is unique per value. *)
@@ -44,11 +42,6 @@ let of_string s =
     | _ -> Error (Printf.sprintf "unknown game %S: %s" s grammar))
 
 let pp ppf g = Format.pp_print_string ppf (to_string g)
-
-let move_set = function
-  | Sum -> "swap"
-  | Max -> "swap+delete"
-  | Alpha _ -> "buy/sell/swap-owned"
 
 let social_cost game g =
   match game with

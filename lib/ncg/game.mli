@@ -28,16 +28,13 @@ val basic : t -> Usage_cost.version option
 
 val is_basic : t -> bool
 
-val of_version : Usage_cost.version -> t
-(** The bridge up; total. *)
-
 val to_string : t -> string
 (** Canonical string form: ["sum"], ["max"], or ["alpha:1.5"]. The α is
     printed in shortest round-trip form, so
-    [of_string (to_string g) = Ok g] for every [g]. For [Sum]/[Max] this
-    equals {!Usage_cost.version_name} — atlas keys, journal headers, and
-    wire encodings built from it are byte-identical to their historical
-    spellings. *)
+    [of_string (to_string g) = Ok g] for every [g]. [Sum]/[Max] print as
+    ["sum"]/["max"], their historical spellings, so atlas keys, journal
+    headers, and wire encodings built from it stay byte-identical. This
+    is the one spelling of a game. *)
 
 val of_string : string -> (t, string) result
 (** Total parser of the canonical forms, shared by the CLI [--game]
@@ -46,10 +43,6 @@ val of_string : string -> (t, string) result
     offending input and the accepted grammar. *)
 
 val pp : Format.formatter -> t -> unit
-
-val move_set : t -> string
-(** Human-readable deviation move set, for docs and telemetry:
-    ["swap"], ["swap+delete"], or ["buy/sell/swap-owned"]. *)
 
 val social_cost : t -> Graph.t -> float
 (** The cost function the game optimizes socially. [Sum]/[Max] lift

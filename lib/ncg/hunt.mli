@@ -5,10 +5,11 @@
     (Theorem 9): no sum equilibrium of diameter 4 is known. This module is
     a local-search harness over the space of connected graphs that hunts
     for equilibria with a prescribed minimum diameter: simulated annealing
-    over single-edge toggles, with an objective that counts equilibrium
-    violations and penalizes short diameters. Finding nothing proves
-    nothing — but found graphs are re-verified with the exhaustive checker
-    before being reported, so positives are certificates. *)
+    over single-edge toggles, with an objective that counts violating
+    agents ({!Equilibrium.violating_agents}) and penalizes short
+    diameters. Finding nothing proves nothing — but found graphs are
+    re-verified with the exhaustive checker before being reported, so
+    positives are certificates. *)
 
 val log_src : Logs.Src.t
 (** Log source ["bncg.hunt"]: progress at debug level, finds at info. *)
@@ -35,13 +36,6 @@ type result = {
           reached the target diameter *)
   evaluated : int;  (** candidate graphs scored *)
 }
-
-val violating_agents : Game.t -> Graph.t -> int
-(** Number of agents holding at least one improving move (the search
-    objective; 0 iff equilibrium for connected graphs). For the max version
-    an agent also violates by holding a non-critical deletion; for
-    [Alpha _] the moves are Buy/Sell/Swap_owned under default
-    ownership. *)
 
 val run : Prng.t -> config -> result
 

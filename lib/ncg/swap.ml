@@ -72,11 +72,6 @@ let iter_moves ?(include_deletions = false) g v f =
       done)
     neighbors
 
-let iter_all_moves ?include_deletions g f =
-  for v = 0 to Graph.n g - 1 do
-    iter_moves ?include_deletions g v f
-  done
-
 let best_move ws version g v =
   let best = ref None in
   iter_moves g v (fun mv ->

@@ -48,9 +48,6 @@ val iter_moves :
     non-neighbor, plus (optionally) each incident deletion. Deletions are
     off by default — they never help in the sum version. *)
 
-val iter_all_moves :
-  ?include_deletions:bool -> Graph.t -> (move -> unit) -> unit
-
 val best_move :
   Bfs.workspace -> Usage_cost.version -> Graph.t -> int -> (move * int) option
 (** Most-improving swap for one agent: the move with the smallest strictly

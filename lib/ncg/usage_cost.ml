@@ -1,9 +1,5 @@
 type version = Sum | Max
 
-let version_name = function Sum -> "sum" | Max -> "max"
-
-let pp_version ppf v = Format.pp_print_string ppf (version_name v)
-
 let infinite = max_int / 4
 
 let is_infinite c = c >= infinite

@@ -10,10 +10,6 @@
 
 type version = Sum | Max
 
-val pp_version : Format.formatter -> version -> unit
-
-val version_name : version -> string
-
 val infinite : int
 (** Cost of a vertex that does not reach the whole graph. *)
 

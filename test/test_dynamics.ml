@@ -138,6 +138,37 @@ let test_social_cost_finite_throughout =
       let r = Dynamics.converge_sum g in
       Components.is_connected r.Dynamics.final)
 
+(* E1b's rows: sum dynamics from a random tree and from a path end in a
+   star (Theorem 1) after exactly the moves the experiment prints *)
+let e1b_rows n ~random ~path () =
+  List.iter
+    (fun (start, g, moves) ->
+      let r = Dynamics.converge_sum g in
+      check_true (start ^ " converged") (r.Dynamics.outcome = Dynamics.Converged);
+      check_int (start ^ " moves") moves r.Dynamics.moves;
+      check_true (start ^ " ends in a star") (Tree_eq.is_star r.Dynamics.final))
+    [
+      ("random tree", Random_graphs.tree (Prng.create n) n, random);
+      ("path", Generators.path n, path);
+    ]
+
+(* E2c's rows: max dynamics from a random tree end in a star or double
+   star (Theorem 4) after exactly the moves the experiment prints *)
+let e2c_row n ~moves ~diameter () =
+  let r = Dynamics.converge_max (Random_graphs.tree (Prng.create (2 * n)) n) in
+  let final = r.Dynamics.final in
+  check_true "converged" (r.Dynamics.outcome = Dynamics.Converged);
+  check_int "moves" moves r.Dynamics.moves;
+  check_true "star or double star" (Tree_eq.is_star final || Tree_eq.is_double_star final);
+  Alcotest.(check (option int)) "diameter" (Some diameter) (Metrics.diameter final)
+
+let test_converge_max_diameter3 () =
+  let g = Random_graphs.tree (Prng.create 5) 50 in
+  let final = (Dynamics.converge_max g).Dynamics.final in
+  check_true "still a tree" (Components.is_tree final);
+  check_true "diameter <= 3 (Theorem 4)" (Option.get (Metrics.diameter final) <= 3);
+  check_true "max equilibrium" (Equilibrium.is_max_equilibrium final)
+
 let suite =
   [
     case "star is a fixed point" test_star_is_fixed_point;
@@ -155,4 +186,11 @@ let suite =
     case "disconnected rejected" test_disconnected_rejected;
     test_max_reaches_deletion_critical;
     test_social_cost_finite_throughout;
+    case "E1b rows, n=64" (e1b_rows 64 ~random:66 ~path:63);
+    case "E1b rows, n=128" (e1b_rows 128 ~random:130 ~path:127);
+    slow_case "E1b rows, n=256" (e1b_rows 256 ~random:262 ~path:256);
+    case "E2c row, n=64" (e2c_row 64 ~moves:62 ~diameter:3);
+    case "E2c row, n=128" (e2c_row 128 ~moves:156 ~diameter:2);
+    slow_case "E2c row, n=256" (e2c_row 256 ~moves:428 ~diameter:3);
+    case "converge_max reaches diameter <= 3" test_converge_max_diameter3;
   ]

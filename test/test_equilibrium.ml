@@ -200,6 +200,16 @@ let test_converged_dynamics_are_equilibria =
       r.Dynamics.outcome <> Dynamics.Converged
       || Equilibrium.is_sum_equilibrium r.Dynamics.final)
 
+(* the count is built from check's per-agent scans, so it is 0 exactly
+   when check finds no witness, in every game *)
+let test_violating_agents_match_check =
+  qcheck ~count:40 "violating_agents = 0 iff check, every game"
+    (gen_connected ~min_n:2 ~max_n:8) (fun g ->
+      List.for_all
+        (fun game ->
+          (Equilibrium.violating_agents game g = 0) = Equilibrium.is_equilibrium game g)
+        [ Game.Sum; Game.Max; Game.Alpha 1.0 ])
+
 let suite =
   [
     case "star equilibria" test_star_both_versions;
@@ -220,4 +230,5 @@ let suite =
     case "double-star boundary" test_double_star_census_boundary;
     test_sum_eq_agrees_with_bruteforce;
     test_converged_dynamics_are_equilibria;
+    test_violating_agents_match_check;
   ]

@@ -68,8 +68,6 @@ let test_bridge () =
   check_true "alpha not basic" (Game.basic (Game.Alpha 1.0) = None);
   check_true "is_basic" (Game.is_basic Game.Max);
   check_false "alpha is_basic" (Game.is_basic (Game.Alpha 0.5));
-  Alcotest.check game "of_version sum" Game.Sum (Game.of_version Usage_cost.Sum);
-  Alcotest.check game "of_version max" Game.Max (Game.of_version Usage_cost.Max);
   check_false "equal across variants" (Game.equal Game.Sum (Game.Alpha 0.0))
 
 let test_social_cost () =

@@ -1,18 +1,21 @@
 open Test_helpers
 
 let test_violating_agents () =
-  check_int "star has none" 0 (Hunt.violating_agents Game.Sum (Generators.star 7));
-  check_true "path has many" (Hunt.violating_agents Game.Sum (Generators.path 7) > 0);
+  check_int "star has none" 0
+    (Equilibrium.violating_agents Game.Sum (Generators.star 7));
+  check_true "path has many"
+    (Equilibrium.violating_agents Game.Sum (Generators.path 7) > 0);
   check_int "torus max has none" 0
-    (Hunt.violating_agents Game.Max (Constructions.torus 3));
+    (Equilibrium.violating_agents Game.Max (Constructions.torus 3));
   (* max version counts non-critical deletions too *)
   let chorded = Graph.of_edges 5 [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 0); (0, 2) ] in
-  check_true "chorded C5 violates max" (Hunt.violating_agents Game.Max chorded > 0)
+  check_true "chorded C5 violates max"
+    (Equilibrium.violating_agents Game.Max chorded > 0)
 
 let test_violations_zero_iff_equilibrium =
   qcheck ~count:40 "violating_agents = 0 iff sum equilibrium"
     (gen_connected ~min_n:3 ~max_n:10) (fun g ->
-      (Hunt.violating_agents Game.Sum g = 0) = Equilibrium.is_sum_equilibrium g)
+      (Equilibrium.violating_agents Game.Sum g = 0) = Equilibrium.is_sum_equilibrium g)
 
 let test_hunt_finds_diameter3_at_8 () =
   let rng = Prng.create 108 in

@@ -37,36 +37,42 @@ let naive_verdict version g =
     | None -> Equilibrium.Equilibrium
   end
 
-let moves_match version g =
+(* [~deltas:false] skips the per-move delta checks and
+   [~selection:false] the three selection rules. *)
+let moves_match ?(deltas = true) ?(selection = true) version g =
   let n = Graph.n g in
   let ws = Bfs.create_workspace n in
   let eng = Swap_eval.create g in
   let ok = ref true in
   for v = 0 to n - 1 do
-    (* every delta, deletions included *)
-    iter_agent_moves ~deletions:true g v (fun mv ->
-        if Swap_eval.delta eng version mv <> Swap.delta ws version g mv then
-          ok := false);
-    (* delta_below agrees with the oracle against an arbitrary cutoff *)
-    iter_agent_moves ~deletions:true g v (fun mv ->
-        let d = Swap.delta ws version g mv in
-        let cutoff = (v mod 3) - 1 in
-        (match Swap_eval.delta_below eng version mv ~cutoff with
-        | Some d' -> if not (d' = d && d < cutoff) then ok := false
-        | None -> if d < cutoff then ok := false));
-    (* the three selection rules return the oracle's move and delta *)
-    if Swap_eval.best_move eng version v <> Swap.best_move ws version g v then
-      ok := false;
-    if
-      Swap_eval.first_improving_move eng version v
-      <> Swap.first_improving_move ws version g v
-    then ok := false;
-    let seed = (17 * (Int64.to_int (Graph.hash g) land 0xffff)) + v in
-    let r1 = Swap.random_improving_move (Prng.create seed) ws version g v in
-    let r2 =
-      Swap_eval.random_improving_move (Prng.create seed) eng version v
-    in
-    if r1 <> r2 then ok := false
+    if deltas then begin
+      (* every delta, deletions included *)
+      iter_agent_moves ~deletions:true g v (fun mv ->
+          if Swap_eval.delta eng version mv <> Swap.delta ws version g mv then
+            ok := false);
+      (* delta_below agrees with the oracle against an arbitrary cutoff *)
+      iter_agent_moves ~deletions:true g v (fun mv ->
+          let d = Swap.delta ws version g mv in
+          let cutoff = (v mod 3) - 1 in
+          match Swap_eval.delta_below eng version mv ~cutoff with
+          | Some d' -> if not (d' = d && d < cutoff) then ok := false
+          | None -> if d < cutoff then ok := false)
+    end;
+    if selection then begin
+      (* the three selection rules return the oracle's move and delta *)
+      if Swap_eval.best_move eng version v <> Swap.best_move ws version g v
+      then ok := false;
+      if
+        Swap_eval.first_improving_move eng version v
+        <> Swap.first_improving_move ws version g v
+      then ok := false;
+      let seed = (17 * (Int64.to_int (Graph.hash g) land 0xffff)) + v in
+      let r1 = Swap.random_improving_move (Prng.create seed) ws version g v in
+      let r2 =
+        Swap_eval.random_improving_move (Prng.create seed) eng version v
+      in
+      if r1 <> r2 then ok := false
+    end
   done;
   !ok
 
@@ -78,6 +84,20 @@ let suite =
     qcheck ~count:160 "max: deltas and move selection match the naive oracle"
       (gen_connected ~min_n:2 ~max_n:9)
       (moves_match Usage_cost.Max);
+    (* on a tree every drop is a bridge, so the row-exact bridge branch
+       answers every swap *)
+    qcheck ~count:80 "trees, sum: deltas match the naive oracle"
+      (gen_tree ~min_n:3 ~max_n:14)
+      (moves_match ~selection:false Usage_cost.Sum);
+    qcheck ~count:80 "trees, sum: moves match the naive oracle"
+      (gen_tree ~min_n:3 ~max_n:14)
+      (moves_match ~deltas:false Usage_cost.Sum);
+    qcheck ~count:80 "trees, max: deltas match the naive oracle"
+      (gen_tree ~min_n:3 ~max_n:14)
+      (moves_match ~selection:false Usage_cost.Max);
+    qcheck ~count:80 "trees, max: moves match the naive oracle"
+      (gen_tree ~min_n:3 ~max_n:14)
+      (moves_match ~deltas:false Usage_cost.Max);
     qcheck ~count:120 "verdicts and witnesses match the pre-engine scan"
       (gen_connected ~min_n:2 ~max_n:8)
       (fun g ->

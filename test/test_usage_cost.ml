@@ -44,10 +44,6 @@ let test_lower_bound () =
   check_int "non-complete max bound" 2
     (Usage_cost.social_cost_lower_bound Usage_cost.Max ~n:5 ~m:9)
 
-let test_version_names () =
-  check_true "sum" (Usage_cost.version_name Usage_cost.Sum = "sum");
-  check_true "max" (Usage_cost.version_name Usage_cost.Max = "max")
-
 let test_social_sum_is_twice_wiener =
   qcheck ~count:60 "social sum = 2 * Wiener" (gen_connected ~min_n:2 ~max_n:20) (fun g ->
       match Metrics.wiener_index g with
@@ -68,7 +64,6 @@ let suite =
     case "social cost" test_social_cost;
     case "social cost trivial graphs" test_social_cost_empty;
     case "lower bound formulas" test_lower_bound;
-    case "version names" test_version_names;
-    test_social_sum_is_twice_wiener;
     test_lower_bound_is_lower;
+    test_social_sum_is_twice_wiener;
   ]
