@@ -1,6 +1,6 @@
 # Convenience targets; the source of truth is dune.
 
-.PHONY: all build test bench-ab census-dist scale-smoke verify clean
+.PHONY: all build test bench-ab scale-smoke verify clean
 
 all: build
 
@@ -33,12 +33,6 @@ bench-ab:
 	done; \
 	st=0; bash bench/e2e/run.sh --compare $$a $$b > _bench_ab/compare.txt 2>&1 || st=$$?; \
 	cat _bench_ab/compare.txt; exit $$st
-
-# distributed-census acceptance gate: healthy / flaky / crash / resume
-# phases over real sockets, each gated on byte-identity with the
-# sequential census
-census-dist:
-	dune exec bench/distcensus.exe
 
 # large-n sampled dynamics smoke: a bounded n = 10^5 BA run that must
 # print a verdict and certify nonzero candidate skips (the CI scale job

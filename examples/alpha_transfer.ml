@@ -30,7 +30,7 @@ let () =
         | Alpha_game.Round_limit -> "limit")
         (Graph.m g)
         (match Metrics.diameter g with Some d -> string_of_int d | None -> "inf")
-        (Alpha_game.is_local_equilibrium st)
+        (Equilibrium.check_alpha_game st = Equilibrium.Equilibrium)
         (Equilibrium.is_sum_equilibrium g)
         (Poa.alpha_poa st))
     [ 0.1; 0.5; 1.0; 2.0; 5.0; 12.0; 24.0; 72.0; 144.0 ];

@@ -41,7 +41,7 @@ let e11_alpha_transfer ?(n = 14) ?alphas () =
           outcome;
           Table.cell_int (Graph.m g);
           Exp_common.diameter_cell g;
-          Table.cell_bool (Alpha_game.is_local_equilibrium st);
+          Table.cell_bool (Equilibrium.check_alpha_game st = Equilibrium.Equilibrium);
           Table.cell_bool (Equilibrium.is_sum_equilibrium g);
           Table.cell_float ~digits:3 (Poa.alpha_poa st);
         ])

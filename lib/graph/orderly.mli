@@ -18,34 +18,23 @@ val max_vertices : int
 (** 11 — the last level where labeled counts via n!/|Aut| summation
     (A001187) stay inside 63-bit integers. *)
 
-val class_counts : int array
-(** Connected graphs up to isomorphism by vertex count (OEIS A001349),
-    [class_counts.(n)] for n within {!max_vertices}. *)
-
-val base_level : int -> int
-(** [min n 6] — the generation-tree level whose classes are the shard
-    roots. *)
-
 val space : int -> int
 (** Rank space of the orderly census on [n] vertices: the number of
-    generation-tree roots, [class_counts.(base_level n)]. *)
+    generation-tree roots, the connected classes (OEIS A001349) on
+    [min n 6] vertices. *)
 
 val iter : ?lo:int -> ?hi:int -> int -> (Graph.t -> Canon.cert -> unit) -> unit
 (** [iter n f] calls [f] exactly once per isomorphism class of connected
     graphs on [n] vertices, passing the generated labeled copy and its
     certificate (canonical form, |Aut|, optimal labeling). With
     [?lo]/[?hi], only the subtrees of roots [lo .. hi - 1] (in emission
-    order at {!base_level}) are explored; disjoint adjacent ranges
+    order at level [min n 6]) are explored; disjoint adjacent ranges
     concatenated in ascending order reproduce the full enumeration —
     the census sharding primitive. @raise Invalid_argument outside
     [1 <= n <= max_vertices] or [0 <= lo <= hi <= space n]. *)
 
 val count : ?lo:int -> ?hi:int -> int -> int
 (** Number of classes emitted by {!iter} over the same range. *)
-
-val min_mask_vertices : int
-(** 9 — cap for {!min_mask_graph}. Past it {!representative} returns the
-    canonical copy, so n = 10–11 census output keeps that labeling. *)
 
 val min_mask_graph : Graph.t -> Graph.t
 (** The labeled copy with the minimum column-major edge-mask integer —
@@ -54,7 +43,7 @@ val min_mask_graph : Graph.t -> Graph.t
     branch and bound over positions, highest first: it branches only on
     candidates whose mask column ties the minimum, one per twin class,
     instead of trying all n! relabelings.
-    @raise Invalid_argument past {!min_mask_vertices}. *)
+    @raise Invalid_argument past 9 vertices. *)
 
 val mask_of_graph : Graph.t -> int
 (** Column-major edge-subset mask of a labeled graph (the rank-range
@@ -62,8 +51,9 @@ val mask_of_graph : Graph.t -> int
     census representatives. Requires [n <= 11] (55 bits). *)
 
 val representative : Graph.t -> Canon.cert -> Graph.t
-(** {!min_mask_graph} within its cap, else the canonical copy rebuilt
-    from [cert.form] — deterministic and label-invariant either way. *)
+(** {!min_mask_graph} up to 9 vertices, else the canonical copy rebuilt
+    from [cert.form], so n = 10–11 census output keeps that labeling —
+    deterministic and label-invariant either way. *)
 
 val canonical_copy : Canon.cert -> Graph.t
 (** The graph whose adjacency equals the certificate's canonical

@@ -143,10 +143,6 @@ let best_move t v =
         | _ -> best := Some (mv, d));
   !best
 
-let is_local_equilibrium t =
-  let rec loop v = v >= Graph.n t.g || (best_move t v = None && loop (v + 1)) in
-  loop 0
-
 exception Improving of move * float
 
 (* First improving move of one agent, in [iter_moves] enumeration order
@@ -160,17 +156,6 @@ let first_improving_move t v =
         if d < -1e-9 then raise (Improving (mv, d)));
     None
   with Improving (mv, d) -> Some (mv, d)
-
-let find_violation t =
-  let nv = Graph.n t.g in
-  let rec scan v =
-    if v >= nv then None
-    else
-      match first_improving_move t v with Some _ as w -> w | None -> scan (v + 1)
-  in
-  scan 0
-
-let best_response_exists t = find_violation t <> None
 
 let actor = function
   | Buy { actor; _ } | Sell { actor; _ } | Swap_owned { actor; _ } -> actor

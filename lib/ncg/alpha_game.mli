@@ -62,23 +62,11 @@ val delta : t -> move -> float
 val best_move : t -> int -> (move * float) option
 (** Most-improving local move of the agent, or [None]. *)
 
-val is_local_equilibrium : t -> bool
-(** No agent has an improving buy / sell / owned-swap. *)
-
 val first_improving_move : t -> int -> (move * float) option
 (** First strictly improving move of the agent in enumeration order
     (buys ascending, then per owned neighbor a sell followed by
-    owned-swaps ascending); the deterministic witness convention. *)
-
-val find_violation : t -> (move * float) option
-(** Lowest agent's {!first_improving_move}; [None] iff
-    {!is_local_equilibrium}. *)
-
-val best_response_exists : t -> bool
-(** Some agent has a strictly improving local move
-    ([find_violation t <> None]). {!Equilibrium.check} runs its own
-    agent-by-agent {!first_improving_move} scan and does not call
-    this. *)
+    owned-swaps ascending); the deterministic witness convention.
+    {!Equilibrium.check_alpha_game} scans it agent by agent. *)
 
 val actor : move -> int
 
@@ -93,8 +81,6 @@ type result = {
 
 val run_dynamics : ?max_rounds:int -> t -> result
 (** Round-robin best-response on a copy; default cap 10_000 rounds. *)
-
-val copy : t -> t
 
 val optimal_social_cost : alpha:float -> int -> float
 (** Best social cost over the two canonical candidates — the star

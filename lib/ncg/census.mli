@@ -84,13 +84,10 @@ val max_shard_vertices : kind -> int
 (** {!Enumerate.max_tree_vertices} (10), {!Enumerate.max_graph_vertices}
     (8) or {!Orderly.max_vertices} (11). *)
 
-val shard_space : kind -> int -> int
-(** Size of the full rank space on [n] vertices: [n^(n-2)] labeled trees,
-    [2^(n(n-1)/2)] edge masks or {!Orderly.space} roots. [n] must be
-    within {!max_shard_vertices}. *)
-
 val full_shard : kind -> Game.t -> int -> shard
-(** The whole census as a single shard: [lo = 0], [hi = shard_space].
+(** The whole census as a single shard: [lo = 0] and [hi] the size of
+    the full rank space on [n] vertices — [n^(n-2)] labeled trees,
+    [2^(n(n-1)/2)] edge masks or {!Orderly.space} roots.
     @raise Invalid_argument when [n] is out of range. *)
 
 val graph_kind : Game.t -> kind
@@ -101,10 +98,10 @@ val graph_kind : Game.t -> kind
 
 val validate_shard : shard -> (unit, string) Stdlib.result
 (** Total bounds check ([n] within the kind's cap, [0 <= lo <= hi <=]
-    {!shard_space}), plus the game/kind compatibility rule ({!Orderly}
-    requires a basic game: the α-game's verdict depends on the labeling
-    through edge ownership, so orbit-stabilizer counting would be
-    unsound); the returned message is suitable for a structured
+    the [hi] of {!full_shard}), plus the game/kind compatibility rule
+    ({!Orderly} requires a basic game: the α-game's verdict depends on
+    the labeling through edge ownership, so orbit-stabilizer counting
+    would be unsound); the returned message is suitable for a structured
     [invalid_params] reply. *)
 
 val run_shard : ?atlas:Atlas.t -> ?pool:Pool.t -> shard -> result

@@ -62,9 +62,7 @@ let theorem5_improving_swap =
 
 let cycle_with_pendant n = Generators.attach_pendant (Generators.cycle n) 0
 
-let petersen_with_pendant () = Generators.attach_pendant (Generators.petersen ()) 0
-
-let sum_diameter3_witness = petersen_with_pendant ()
+let sum_diameter3_witness = Generators.attach_pendant (Generators.petersen ()) 0
 
 let sum_diameter3_minimal =
   Graph.of_edges 8

@@ -64,10 +64,6 @@ val cycle_with_pendant : int -> Graph.t
     equilibrium for any n (a cycle vertex improves by swapping onto the
     pendant's host); kept as a counterexample input for tests. *)
 
-val petersen_with_pendant : unit -> Graph.t
-(** Petersen plus a pendant — the graph behind
-    {!sum_diameter3_witness}. *)
-
 val sum_diameter3_minimal : Graph.t
 (** The {e smallest possible} diameter-3 sum equilibrium: 8 vertices, 12
     edges, girth 3, degree sequence (4,4,3,3,3,3,2,2), automorphism group

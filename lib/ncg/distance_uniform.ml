@@ -44,14 +44,7 @@ let epsilon_at g ~r =
   require_usable g;
   eps_of_counts ~almost:false (sphere_counts g) ~n:(Graph.n g) ~r
 
-let epsilon_almost_at g ~r =
-  require_usable g;
-  eps_of_counts ~almost:true (sphere_counts g) ~n:(Graph.n g) ~r
-
 let is_distance_uniform g ~epsilon = (best_uniform g).epsilon <= epsilon
-
-let is_distance_almost_uniform g ~epsilon =
-  (best_almost_uniform g).epsilon <= epsilon
 
 let pairwise_modal_fraction g =
   require_usable g;

@@ -24,12 +24,8 @@ val best_almost_uniform : Graph.t -> profile
 val epsilon_at : Graph.t -> r:int -> float
 (** ε for one radius (exact variant). *)
 
-val epsilon_almost_at : Graph.t -> r:int -> float
-
 val is_distance_uniform : Graph.t -> epsilon:float -> bool
 (** Some radius achieves ε at most the bound. *)
-
-val is_distance_almost_uniform : Graph.t -> epsilon:float -> bool
 
 val pairwise_modal_fraction : Graph.t -> int * float
 (** The modal pairwise distance and the fraction of ordered pairs at it —

@@ -103,12 +103,12 @@ let check_with ~agent_violation ?pool g =
 
 (* The alpha path goes through the same telemetry shell as the basic
    games but scans with [Alpha_game.first_improving_move] — the pool is
-   unused (the per-move delta is already an apply/BFS/undo on a private
-   copy). Disconnection is reported as [Disconnected], matching the basic
-   games, rather than as a Buy witness with delta = -∞. *)
-let check_alpha alpha g =
+   unused (the per-move delta is already an apply/BFS/undo on the
+   state). Disconnection is reported as [Disconnected], matching the
+   basic games, rather than as a Buy witness with delta = -∞. *)
+let check_alpha_game st =
   let t0 = Telemetry.start () in
-  let st = Alpha_game.create ~alpha g in
+  let g = Alpha_game.graph st in
   let verdict =
     if not (Components.is_connected g) then Disconnected
     else begin
@@ -139,7 +139,7 @@ let check ?pool game g =
   | Game.Max -> check_with ~agent_violation:agent_violation_max ?pool g
   | Game.Alpha a ->
     ignore pool;
-    check_alpha a g
+    check_alpha_game (Alpha_game.create ~alpha:a g)
 
 let is_equilibrium ?pool game g = check ?pool game g = Equilibrium
 

@@ -27,11 +27,17 @@ val pp_verdict : Format.formatter -> verdict -> unit
 
 val check : ?pool:Pool.t -> Game.t -> Graph.t -> verdict
 (** [check game g] is {!check_sum} for [Sum] and {!check_max} for [Max];
-    [?pool] as below. For [Alpha a] the scan asks
-    {!Alpha_game.first_improving_move} agent by agent (lowest agent,
-    first move in enumeration order — the same witness convention as the
-    basic games) and reports an {!Alpha_violation}; [?pool] is ignored
-    there. *)
+    [?pool] as below. For [Alpha a] it is {!check_alpha_game} on
+    [Alpha_game.create ~alpha:a g] (each edge owned by its smaller
+    endpoint); [?pool] is ignored there. *)
+
+val check_alpha_game : Alpha_game.t -> verdict
+(** The α-game check of a state under the edge ownership it carries —
+    after {!Alpha_game.run_dynamics} that is no longer [create]'s
+    default. The scan asks {!Alpha_game.first_improving_move} agent by
+    agent (lowest agent, first move in enumeration order — the same
+    witness convention as the basic games) and reports an
+    {!Alpha_violation}. *)
 
 val is_equilibrium : ?pool:Pool.t -> Game.t -> Graph.t -> bool
 

@@ -71,7 +71,3 @@ let histogram xs =
     xs;
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.3f sd=%.3f min=%g med=%g max=%g" s.count
-    s.mean s.stddev s.min s.median s.max

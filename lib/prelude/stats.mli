@@ -30,5 +30,3 @@ val percentile : float array -> float -> float
 
 val histogram : int array -> (int * int) list
 (** [histogram xs] is the sorted association list of (value, multiplicity). *)
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -353,6 +353,8 @@ let run cfg shard =
   if cfg.workers = [] then Error "Dispatch.run: no workers"
   else if cfg.max_attempts < 1 then Error "Dispatch.run: max_attempts < 1"
   else if cfg.blacklist_after < 1 then Error "Dispatch.run: blacklist_after < 1"
+  else if not (cfg.timeout > 0.0) then
+    Error (Printf.sprintf "Dispatch.run: timeout must be > 0 (got %g)" cfg.timeout)
   else begin
     match Census.validate_shard shard with
     | Error msg -> Error msg

@@ -54,7 +54,9 @@ type config = {
   blacklist_after : int;  (** consecutive failures retiring a worker *)
   backoff : float;
       (** base sleep after a failure; doubles per consecutive failure *)
-  timeout : float;  (** per-call reply deadline for remote workers *)
+  timeout : float;
+      (** per-call reply deadline for remote workers; must be > 0 (nan
+          is refused), [infinity] means none *)
   journal : string option;  (** checkpoint file; [None] disables *)
   atlas : Atlas.t option;
       (** equilibrium atlas consulted/populated by {!Local} workers'

@@ -344,7 +344,7 @@ let do_census srv ~deadline (shard : Census.shard) =
     (* deadline-checked slices: a shard is the client-facing unit of
        parallelism (fan disjoint shards across requests), a slice is
        the server-side unit of interruption *)
-    let slice = max 1 srv.cfg.census_slice in
+    let slice = srv.cfg.census_slice in
     let timeout_err =
       ( Rpc.Timeout,
         Printf.sprintf "deadline expired inside census shard [%d, %d)"
@@ -791,8 +791,13 @@ let start cfg =
     invalid_arg "Serve.start: max_request_bytes < 64";
   if cfg.max_graph_vertices < 1 then
     invalid_arg "Serve.start: max_graph_vertices < 1";
-  if cfg.request_timeout <= 0.0 then
-    invalid_arg "Serve.start: request_timeout <= 0";
+  (* [not (t > 0.)] refuses nan too, a deadline that would never fire;
+     infinity is no deadline *)
+  if not (cfg.request_timeout > 0.0) then
+    invalid_arg
+      (Printf.sprintf "Serve.start: request_timeout must be > 0 (got %g)"
+         cfg.request_timeout);
+  if cfg.census_slice < 1 then invalid_arg "Serve.start: census_slice < 1";
   if cfg.write_high_water < 64 then
     invalid_arg "Serve.start: write_high_water < 64";
   (* a vanished client must close one connection, not kill the server *)
@@ -909,6 +914,8 @@ type client = {
 }
 
 let connect ?(timeout = 30.0) addr =
+  if not (timeout > 0.0) then
+    invalid_arg (Printf.sprintf "Serve.connect: timeout must be > 0 (got %g)" timeout);
   let fd =
     open_socket addr (fun fd sa ->
         Unix.connect fd sa;

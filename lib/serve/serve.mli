@@ -87,8 +87,10 @@ type config = {
       (** upper bound on [Graph.n] accepted by [info] and [check] — the
           cooperative-deadline story needs bounded single work items *)
   census_slice : int;
-      (** ranks/masks per deadline check inside a census shard *)
-  request_timeout : float;  (** seconds; the cooperative deadline *)
+      (** ranks/masks per deadline check inside a census shard; >= 1 *)
+  request_timeout : float;
+      (** seconds; the cooperative deadline. Must be > 0 (nan is
+          refused); [infinity] means no deadline *)
   write_high_water : int;
       (** bytes of pending output per connection beyond which the worker
           pauses reading that connection (backpressure) *)
@@ -142,8 +144,9 @@ type client
 
 val connect : ?timeout:float -> address -> client
 (** [timeout] (default 30 s) bounds each {!call}'s wait for a reply
-    line.
-    @raise Invalid_argument on an unresolvable host;
+    line; [infinity] waits for ever.
+    @raise Invalid_argument on a timeout that is not > 0 (nan included),
+    before any socket is opened, or on an unresolvable host;
     [Unix.Unix_error] if the connect fails. Neither leaks a descriptor. *)
 
 val call : client -> string -> string

@@ -4,6 +4,8 @@ let check_float = Alcotest.(check (float 1e-9))
 
 let star_game ?(alpha = 2.0) n = Alpha_game.create ~alpha (Generators.star n)
 
+let alpha_equilibrium t = Equilibrium.check_alpha_game t = Equilibrium.Equilibrium
+
 let test_create_defaults () =
   let t = star_game 5 in
   check_float "alpha" 2.0 (Alpha_game.alpha t);
@@ -87,25 +89,25 @@ let test_best_move_respects_alpha () =
   | _ -> Alcotest.fail "expected buy");
   (* with huge alpha the star is already locally optimal *)
   let t2 = star_game ~alpha:1000.0 6 in
-  check_true "star stable at high alpha" (Alpha_game.is_local_equilibrium t2)
+  check_true "star stable at high alpha" (alpha_equilibrium t2)
 
 let test_star_equilibrium_for_alpha_ge_1 () =
   (* classic: the (center-owned) star is a Nash equilibrium for alpha >= 1 *)
   List.iter
-    (fun alpha -> check_true "star stable" (Alpha_game.is_local_equilibrium (star_game ~alpha 6)))
+    (fun alpha -> check_true "star stable" (alpha_equilibrium (star_game ~alpha 6)))
     [ 1.0; 2.0; 10.0 ]
 
 let test_complete_equilibrium_small_alpha () =
   (* the complete graph is an equilibrium for alpha <= 1 *)
   let t = Alpha_game.create ~alpha:0.5 (Generators.complete 5) in
-  check_true "complete stable" (Alpha_game.is_local_equilibrium t)
+  check_true "complete stable" (alpha_equilibrium t)
 
 let test_dynamics_converges () =
   let rng = Prng.create 4 in
   let t = Alpha_game.create ~alpha:3.0 (Random_graphs.tree rng 10) in
   let r = Alpha_game.run_dynamics t in
   check_true "converged" (r.Alpha_game.outcome = Alpha_game.Converged);
-  check_true "local equilibrium" (Alpha_game.is_local_equilibrium r.Alpha_game.state);
+  check_true "local equilibrium" (alpha_equilibrium r.Alpha_game.state);
   check_true "input untouched" (Components.is_tree (Alpha_game.graph t))
 
 let test_dynamics_keeps_connectivity () =

@@ -57,42 +57,6 @@ let temp_sock =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "bncg-atlas-ident-%d-%d.sock" (Unix.getpid ()) !counter)
 
-(* the star on 9 vertices with its center relabeled to [c]: distinct
-   graph6 text per center, one isomorphism class — exercises the
-   canonical-form atlas keys, not just the exact-text ones *)
-let star9_centered c =
-  let g = Graph.create 9 in
-  for v = 0 to 8 do
-    if v <> c then Graph.add_edge g c v
-  done;
-  g
-
-let check_request ~id game g =
-  Printf.sprintf "{\"id\":%d,\"method\":\"check\",\"params\":{\"game\":%S,\"graph6\":%s}}"
-    id game
-    (Jsonx.to_string (Jsonx.Str (Graph6.encode g)))
-
-let info_request ~id g =
-  Printf.sprintf "{\"id\":%d,\"method\":\"info\",\"params\":{\"graph6\":%s}}" id
-    (Jsonx.to_string (Jsonx.Str (Graph6.encode g)))
-
-(* equilibria under relabeling (stars), violations (path, torus) and
-   info traffic: invariant and exact-only atlas keys both in play *)
-let workload =
-  let graphs =
-    List.init 4 star9_centered
-    @ [ Constructions.torus 3; Generators.path 8; Generators.cycle 5 ]
-  in
-  List.concat
-    (List.mapi
-       (fun i g ->
-         [
-           check_request ~id:(3 * i) "sum" g;
-           check_request ~id:((3 * i) + 1) "max" g;
-           info_request ~id:((3 * i) + 2) g;
-         ])
-       graphs)
-
 let atlas_hits_of stats_reply =
   match Jsonx.parse stats_reply with
   | Error _ -> -1
@@ -105,7 +69,10 @@ let atlas_hits_of stats_reply =
          Jsonx.to_int)
 
 (* one fresh server per pass: the LRU starts empty every time, so any
-   warm-pass speedup or hit must come from the atlas alone *)
+   warm-pass speedup or hit must come from the atlas alone. The pass
+   sends test_serve's workload from 3 concurrent clients: equilibria
+   under relabeling (the 9-star: canonical atlas keys) and a violation
+   (the 8-path under max, whose witness keeps its key exact) *)
 let serve_pass atlas_dir =
   let sock = temp_sock () in
   let cfg =
@@ -118,10 +85,13 @@ let serve_pass atlas_dir =
   in
   let srv = Serve.start cfg in
   Fun.protect ~finally:(fun () -> Serve.stop srv) @@ fun () ->
-  Serve.with_client (Serve.Unix_sock sock) @@ fun c ->
-  let replies = List.map (Serve.call c) workload in
-  let hits = atlas_hits_of (Serve.call c "{\"method\":\"stats\"}") in
-  (String.concat "\n" replies, hits)
+  let addr = Serve.Unix_sock sock in
+  let replies = Test_serve.drive addr ~conns:3 ~requests:4000 in
+  let hits =
+    Serve.with_client addr (fun c ->
+        atlas_hits_of (Serve.call c "{\"method\":\"stats\"}"))
+  in
+  (replies, hits)
 
 let test_serve_identity () =
   with_dir "serve-ident" @@ fun dir ->
@@ -129,8 +99,12 @@ let test_serve_identity () =
   let cold, _ = serve_pass (Some dir) in
   let warm, warm_hits = serve_pass (Some dir) in
   check_int "no atlas means no atlas stats" 0 off_hits;
-  check_str "cold pass byte-identical to atlas off" off cold;
-  check_str "warm pass byte-identical to atlas off" off warm;
+  Array.iteri
+    (fun id reply ->
+      if not (String.equal reply cold.(id) && String.equal reply warm.(id)) then
+        Alcotest.failf "reply %d: atlas off %s, cold %s, warm %s" id reply cold.(id)
+          warm.(id))
+    off;
   check_true "warm pass hit the atlas" (warm_hits > 0)
 
 let suite =

@@ -30,6 +30,10 @@ let tree_shard = Census.full_shard Census.Trees Game.Sum 5
 
 let graph_shard = Census.full_shard Census.Graphs Game.Max 4
 
+(* the max game's every class on 6 vertices, walked by the orderly
+   generator; split in 8 parts below *)
+let orderly_shard = Census.full_shard Census.Orderly Game.Max 6
+
 let base =
   { Dispatch.default_config with Dispatch.parts = 6; backoff = 0.001 }
 
@@ -41,6 +45,25 @@ let run_ok cfg shard =
 let temp tag =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "bncg-test-dispatch-%s-%d" tag (Unix.getpid ()))
+
+let serve_config sock =
+  {
+    Serve.default_config with
+    Serve.addresses = [ Serve.Unix_sock sock ];
+    jobs = 2;
+  }
+
+(* two live servers as [Remote] workers *)
+let with_fleet f =
+  let start tag = Serve.start (serve_config (temp tag)) in
+  let s1 = start "w1.sock" in
+  Fun.protect ~finally:(fun () -> Serve.stop s1) @@ fun () ->
+  let s2 = start "w2.sock" in
+  Fun.protect ~finally:(fun () -> Serve.stop s2) @@ fun () ->
+  f
+    (List.map
+       (fun s -> Dispatch.Remote (List.hd (Serve.bound_addresses s)))
+       [ s1; s2 ])
 
 (* --- happy paths ----------------------------------------------------------- *)
 
@@ -90,26 +113,28 @@ let test_slow_worker_merge_order () =
 
 (* --- failure injection ----------------------------------------------------- *)
 
-let test_flaky_worker_recovers () =
-  let expected = render (Census.run_shard tree_shard) in
+let flaky_recovers ?(parts = 6) shard good =
+  let expected = render (Census.run_shard shard) in
   let calls = ref 0 in
   let flaky s =
     incr calls;
     if !calls <= 2 then Error "injected fault" else Ok (Census.run_shard s)
   in
-  (* the good worker is slowed so the instantly-failing flaky worker
-     deterministically gets both injected faults in before the queue
-     drains *)
   let cfg =
-    {
-      base with
-      Dispatch.workers = [ Dispatch.Custom ("flaky", flaky); slow_worker "good" 0.003 ];
-    }
+    { base with Dispatch.workers = [ Dispatch.Custom ("flaky", flaky); good ]; parts }
   in
-  let r, st = run_ok cfg tree_shard in
+  let r, st = run_ok cfg shard in
   check_str "identical to sequential" expected (render r);
   check_true "failures retried" (st.Dispatch.retried >= 2);
   check_true "failed shards recovered" (st.Dispatch.recovered >= 1)
+
+let test_flaky_worker_recovers () =
+  (* the good worker is slowed so the instantly-failing flaky worker
+     deterministically gets both injected faults in before the queue
+     drains *)
+  flaky_recovers tree_shard (slow_worker "good" 0.003);
+  (* beside a live server, each of whose shards is a socket round trip *)
+  with_fleet (fun fleet -> flaky_recovers ~parts:8 orderly_shard (List.hd fleet))
 
 let test_raising_worker_is_caught () =
   (* a lone worker whose first call raises: the exception becomes a
@@ -202,6 +227,10 @@ let test_validation () =
     (is_error (Dispatch.run { one with Dispatch.max_attempts = 0 } tree_shard));
   check_true "blacklist_after < 1"
     (is_error (Dispatch.run { one with Dispatch.blacklist_after = 0 } tree_shard));
+  check_true "timeout nan"
+    (is_error (Dispatch.run { one with Dispatch.timeout = Float.nan } tree_shard));
+  check_true "timeout 0"
+    (is_error (Dispatch.run { one with Dispatch.timeout = 0.0 } tree_shard));
   check_true "invalid shard bounds"
     (is_error (Dispatch.run one { tree_shard with Census.lo = 50; hi = 10 }))
 
@@ -219,40 +248,43 @@ let journal_lines path =
       in
       go [])
 
-let test_journal_crash_resume () =
+(* a lone worker completes [survivors] shards, then dies for good; the
+   run fails and its journal keeps those shards, which a resume on
+   [fleet] replays *)
+let crash_resume ~parts ~survivors shard fleet =
   let journal = temp "journal.log" in
   (try Sys.remove journal with Sys_error _ -> ());
   Fun.protect ~finally:(fun () -> try Sys.remove journal with Sys_error _ -> ())
   @@ fun () ->
-  let expected = render (Census.run_shard graph_shard) in
-  (* crash: a lone worker completes two shards then dies for good *)
+  let expected = render (Census.run_shard shard) in
   let calls = ref 0 in
   let dying s =
     incr calls;
-    if !calls <= 2 then Ok (Census.run_shard s) else Error "worker died"
+    if !calls <= survivors then Ok (Census.run_shard s) else Error "worker died"
   in
   let crash_cfg =
     {
       base with
       Dispatch.workers = [ Dispatch.Custom ("dying", dying) ];
+      parts;
       max_attempts = 2;
       journal = Some journal;
     }
   in
-  (match Dispatch.run crash_cfg graph_shard with
+  (match Dispatch.run crash_cfg shard with
   | Ok _ -> Alcotest.fail "the dying fleet must fail the run"
   | Error _ -> ());
-  check_int "journal = header + 2 shards" 3 (List.length (journal_lines journal));
+  check_int "journal = header + survivors" (survivors + 1)
+    (List.length (journal_lines journal));
   (* resume on a healthy fleet: only the missing shards are recomputed *)
-  let cfg =
-    { base with Dispatch.workers = [ ok_worker "a" ]; journal = Some journal }
-  in
-  let r, st = run_ok cfg graph_shard in
+  let cfg = { base with Dispatch.workers = fleet; parts; journal = Some journal } in
+  let r, st = run_ok cfg shard in
   check_str "resumed result identical" expected (render r);
-  check_int "journaled shards replayed" 2 st.Dispatch.journal_hits;
-  check_int "only the rest dispatched" (st.Dispatch.shards - 2) st.Dispatch.dispatched;
+  check_int "journaled shards replayed" survivors st.Dispatch.journal_hits;
+  check_int "only the rest dispatched" (st.Dispatch.shards - survivors)
+    st.Dispatch.dispatched;
   (* a second resume over the complete journal computes nothing *)
-  let r2, st2 = run_ok cfg graph_shard in
+  let r2, st2 = run_ok cfg shard in
   check_str "second resume identical" expected (render r2);
   check_int "zero dispatched" 0 st2.Dispatch.dispatched;
   check_int "all shards from journal" st2.Dispatch.shards st2.Dispatch.journal_hits;
@@ -260,25 +292,20 @@ let test_journal_crash_resume () =
   let oc = open_out_gen [ Open_append ] 0o644 journal in
   output_string oc "{\"lo\": 12, \"hi\"";
   close_out oc;
-  let r3, st3 = run_ok cfg graph_shard in
+  let r3, st3 = run_ok cfg shard in
   check_str "torn tail ignored" expected (render r3);
   check_int "still all from journal" st3.Dispatch.shards st3.Dispatch.journal_hits;
   (* a journal from different shard boundaries must be refused *)
-  match
-    Dispatch.run { cfg with Dispatch.parts = 3 } graph_shard
-  with
+  match Dispatch.run { cfg with Dispatch.parts = 3 } shard with
   | Ok _ -> Alcotest.fail "mismatched journal header must be refused"
   | Error msg ->
     check_true "mentions the mismatch" (contains msg "different run")
 
-(* --- remote workers -------------------------------------------------------- *)
+let test_journal_crash_resume () =
+  crash_resume ~parts:6 ~survivors:2 graph_shard [ ok_worker "a" ];
+  with_fleet (crash_resume ~parts:8 ~survivors:3 orderly_shard)
 
-let serve_config sock =
-  {
-    Serve.default_config with
-    Serve.addresses = [ Serve.Unix_sock sock ];
-    jobs = 2;
-  }
+(* --- remote workers -------------------------------------------------------- *)
 
 let test_client_e2e () =
   let sock = temp "client.sock" in
@@ -306,17 +333,15 @@ let test_client_e2e () =
     | Error msg -> Alcotest.failf "census_shard: %s" msg)
 
 let test_remote_dispatch () =
-  let sock = temp "remote.sock" in
-  let srv = Serve.start (serve_config sock) in
-  Fun.protect ~finally:(fun () -> Serve.stop srv) @@ fun () ->
-  let expected = render (Census.run_shard tree_shard) in
-  let addr = Serve.Unix_sock sock in
-  let cfg =
-    { base with Dispatch.workers = [ Dispatch.Remote addr; Dispatch.Remote addr ] }
-  in
-  let r, st = run_ok cfg tree_shard in
-  check_str "identical to sequential" expected (render r);
-  check_int "nothing retried" 0 st.Dispatch.retried
+  with_fleet @@ fun fleet ->
+  List.iter
+    (fun (shard, parts) ->
+      let expected = render (Census.run_shard shard) in
+      let r, st = run_ok { base with Dispatch.workers = fleet; parts } shard in
+      check_str "identical to sequential" expected (render r);
+      check_int "every shard dispatched once" st.Dispatch.shards st.Dispatch.dispatched;
+      check_int "nothing retried" 0 st.Dispatch.retried)
+    [ (tree_shard, 6); (orderly_shard, 8) ]
 
 (* A stub endpoint misbehaving at the protocol level: accepts real
    connections, then either answers garbage or goes silent until the

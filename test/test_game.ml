@@ -131,16 +131,22 @@ let test_differential_n6 () = differential_in 6
 (* --- the generic checker agrees with the alpha engine -------------------- *)
 
 let test_check_alpha_agrees =
-  qcheck ~count:60 "Equilibrium.check (Alpha a) matches best_response_exists"
+  qcheck ~count:60 "Equilibrium.check (Alpha a) matches best_move"
     QCheck2.Gen.(pair (gen_connected ~min_n:2 ~max_n:8) (int_range 0 6))
     (fun (g, k) ->
       let a = 0.5 *. float_of_int k in
       let t = Alpha_game.create ~alpha:a g in
+      (* [best_move] scores every move: a scan of its own *)
+      let stable =
+        List.for_all
+          (fun v -> Alpha_game.best_move t v = None)
+          (List.init (Graph.n g) Fun.id)
+      in
       match Equilibrium.check (Game.Alpha a) g with
-      | Equilibrium.Equilibrium -> not (Alpha_game.best_response_exists t)
+      | Equilibrium.Equilibrium -> stable
       | Equilibrium.Alpha_violation (mv, d) ->
         (* the reported witness is real: applicable and improving *)
-        Alpha_game.best_response_exists t
+        (not stable)
         && Alpha_game.is_applicable t mv
         && d < 0.0
         && Float.abs (Alpha_game.delta t mv -. d) < 1e-9
