@@ -36,7 +36,8 @@ let graph6_arg =
 let jobs_arg =
   let doc =
     "Worker domains for the parallel kernels (census sharding, per-agent \
-     equilibrium scans). 0 means all available cores; 1 forces the \
+     equilibrium scans of graphs above 62 vertices; smaller graphs are \
+     scanned sequentially). 0 means all available cores; 1 forces the \
      sequential code path."
   in
   Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc)

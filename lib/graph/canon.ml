@@ -132,7 +132,7 @@ let cert g =
   let n = Graph.n g in
   if n = 0 then { form = ""; perm = [||]; aut_count = 1; position_vertices = [||]; generators = [] }
   else begin
-    let adj = Array.init n (Graph.fold_neighbors (fun m w -> m lor (1 lsl w)) 0 g) in
+    let adj = Graph.masks g in
     (* [cells.(p)]: the color class position p draws from. Position p gets
        the p-th smallest color, so the classes (colors lie in [0, n)) take
        consecutive positions in color order. *)

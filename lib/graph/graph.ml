@@ -149,6 +149,11 @@ let copy t =
     adj = ref (Array.init t.nv (fun v -> Array.sub (row t v) 0 t.deg.(v)));
   }
 
+(* bit 62 is the sign bit of an OCaml int *)
+let masks t =
+  if t.nv > 62 then invalid_arg "Graph.masks: more than 62 vertices";
+  Array.init t.nv (fold_neighbors (fun m w -> m lor (1 lsl w)) 0 t)
+
 let equal a b =
   a.nv = b.nv && a.ne = b.ne
   &&

@@ -65,6 +65,12 @@ val of_edges : int -> (int * int) list -> t
 
 val copy : t -> t
 
+val masks : t -> int array
+(** [(masks g).(v)] has bit [w] set iff [vw] is an edge: one [int] per
+    adjacency row, for the bit-parallel kernels on small graphs
+    ({!Canon}, {!Orderly}, the equilibrium scan). Every mask is
+    non-negative. @raise Invalid_argument past 62 vertices. *)
+
 val equal : t -> t -> bool
 (** Same vertex count and same edge set. *)
 

@@ -60,9 +60,6 @@ let child_of parent k mask =
   done;
   h
 
-(* [rows.(v)]: the neighbours of [v] as a bitmask *)
-let rows_of g = Array.init (Graph.n g) (Graph.fold_neighbors (fun m w -> m lor (1 lsl w)) 0 g)
-
 (* in the connected graph [rows], [u] is a cut vertex iff a flood from
    another vertex, never entering [u], misses some vertex *)
 let is_cut rows u =
@@ -133,7 +130,7 @@ let rec extend g cert target f =
           ignore (Union_find.union orbits mask (apply_mask sigma mask))
         done)
       cert.Canon.generators;
-    let parent = rows_of g in
+    let parent = Graph.masks g in
     let rows = Array.make (k + 1) 0 in
     let tried = Array.make (1 lsl k) false in
     for mask = 1 to (1 lsl k) - 1 do
@@ -231,7 +228,7 @@ let graph_of_mask n mask =
 let min_mask_graph g =
   let n = Graph.n g in
   if n > min_mask_vertices then invalid_arg "Orderly.min_mask_graph";
-  let adj = rows_of g in
+  let adj = Graph.masks g in
   let twins y y' = adj.(y) land lnot (1 lsl y') = adj.(y') land lnot (1 lsl y) in
   let best = ref max_int in
   (* the column of [y] placed at [hi] above [cells] (the top one without y) *)

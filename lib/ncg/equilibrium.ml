@@ -13,33 +13,152 @@ let pp_verdict ppf = function
 
 exception Witness of Swap.move * int
 
-(* First violating move of a single agent, in move-enumeration order.
-   Both the sequential and the parallel checkers are built from this
-   per-agent scan, so their witnesses coincide. Candidates are evaluated
-   by the incremental engine: [Swap_eval.delta_below] returns the exact
-   naive delta whenever it is below the cutoff and certifies the skip
-   otherwise, so verdicts and witnesses are byte-identical to the
-   apply/BFS/undo oracle. *)
-let agent_violation_sum eng v =
+(* First violating move of a single agent, in move-enumeration order,
+   above 62 vertices. Both the sequential and the parallel checkers are
+   built from this per-agent scan, so their witnesses coincide.
+   Candidates are evaluated by the incremental engine:
+   [Swap_eval.delta_below] returns the exact naive delta whenever it is
+   below the cutoff and certifies the skip otherwise, so verdicts and
+   witnesses are byte-identical to the apply/BFS/undo oracle.
+   Equilibrium demands that a max deletion *strictly increases* the
+   actor's local diameter, so deletions violate already at delta = 0. *)
+let agent_violation version eng v =
   try
-    Swap.iter_moves (Swap_eval.graph eng) v (fun mv ->
-        match Swap_eval.delta_below eng Usage_cost.Sum mv ~cutoff:0 with
+    Swap.iter_moves ~include_deletions:(version = Usage_cost.Max) (Swap_eval.graph eng) v
+      (fun mv ->
+        let cutoff = match mv with Swap.Swap _ -> 0 | Swap.Delete _ -> 1 in
+        match Swap_eval.delta_below eng version mv ~cutoff with
         | Some d -> raise (Witness (mv, d))
         | None -> ());
     None
   with Witness (mv, d) -> Some (mv, d)
 
-let agent_violation_max eng v =
-  try
-    Swap.iter_moves ~include_deletions:true (Swap_eval.graph eng) v (fun mv ->
-        (* equilibrium demands deletion *strictly increases* the actor's
-           local diameter, so deletions violate already at delta = 0 *)
-        let cutoff = match mv with Swap.Swap _ -> 0 | Swap.Delete _ -> 1 in
-        match Swap_eval.delta_below eng Usage_cost.Max mv ~cutoff with
-        | Some d -> raise (Witness (mv, d))
-        | None -> ());
-    None
-  with Witness (mv, d) -> Some (mv, d)
+(* The word-parallel scan: on at most 62 vertices the graph is its
+   [Graph.masks] ([rows.(v)] has bit [w] set iff vw is an edge), and a
+   candidate move is priced by a bounded frontier BFS over those masks.
+   62 is no tunable: it is the vertex bits 0-61 of an OCaml int below its
+   sign bit, so every mask stays non-negative. *)
+let word_max_n = 62
+
+(* [bit_at.(b mod 67)] is [i] for [b = 2^i]: 2 has order 66 modulo the
+   prime 67, so 2^0 ... 2^61 leave distinct residues *)
+let bit_at =
+  let t = Array.make 67 0 in
+  for i = 0 to word_max_n - 1 do
+    t.((1 lsl i) mod 67) <- i
+  done;
+  t
+
+(* the union of [acc] and the rows of the vertices in [mask], visiting
+   set bits only *)
+let rec expand rows mask acc =
+  if mask = 0 then acc
+  else begin
+    let b = mask land -mask in
+    expand rows (mask lxor b) (acc lor rows.(bit_at.(b mod 67)))
+  end
+
+(* One BFS level per call: [frontier] holds the vertices at depth [d],
+   [seen] everything within depth [d] and [s] their distance sum. Every
+   vertex still unreached lies at depth [d + 1] or more, so once
+   [s + (n - reached)(d + 1)] reaches [limit] the cost does too (the
+   bound [Swap_eval] aborts its fallback BFS with). *)
+let rec sum_levels rows n limit seen frontier reached s d =
+  if reached = n then s
+  else if s + ((n - reached) * (d + 1)) >= limit then limit
+  else begin
+    let next = expand rows frontier 0 land lnot seen in
+    if next = 0 then Usage_cost.infinite
+    else begin
+      let k = Bitset.popcount next in
+      let d = d + 1 in
+      sum_levels rows n limit (seen lor next) next (reached + k) (s + (k * d)) d
+    end
+  end
+
+(* the same for the local diameter: vertices unreached past depth [d]
+   put it at [d + 1] or more *)
+let rec max_levels rows all limit seen frontier d =
+  if seen = all then d
+  else if d + 1 >= limit then limit
+  else begin
+    let next = expand rows frontier 0 land lnot seen in
+    if next = 0 then Usage_cost.infinite
+    else max_levels rows all limit (seen lor next) next (d + 1)
+  end
+
+(* [v]'s cost on [rows]: exact when below [limit], otherwise some value
+   at least [limit]; {!Usage_cost.infinite} when [v] reaches too few *)
+let word_cost version rows n v ~limit =
+  let b = 1 lsl v in
+  match version with
+  | Usage_cost.Sum -> sum_levels rows n limit b b 1 0 0
+  | Usage_cost.Max -> max_levels rows ((1 lsl n) - 1) limit b b 0
+
+(* [agent_violation] on the masks, move for move: drops ascending, for
+   max each drop's deletion first (cutoff 1), then adds ascending
+   (cutoff 0). A move xors its bits into [rows] and the same xor takes it
+   back, so [rows] is unchanged on return. *)
+let word_violation version rows v =
+  let n = Array.length rows in
+  let bv = 1 lsl v in
+  let before = word_cost version rows n v ~limit:max_int in
+  let targets = ((1 lsl n) - 1) land lnot (rows.(v) lor bv) in
+  let rec adds drop m =
+    if m = 0 then None
+    else begin
+      let b = m land -m in
+      let add = bit_at.(b mod 67) in
+      rows.(v) <- rows.(v) lxor b;
+      rows.(add) <- rows.(add) lxor bv;
+      let after = word_cost version rows n v ~limit:before in
+      rows.(v) <- rows.(v) lxor b;
+      rows.(add) <- rows.(add) lxor bv;
+      if after < before then Some (Swap.Swap { actor = v; drop; add }, after - before)
+      else adds drop (m lxor b)
+    end
+  in
+  let rec drops m =
+    if m = 0 then None
+    else begin
+      let b = m land -m in
+      let drop = bit_at.(b mod 67) in
+      rows.(v) <- rows.(v) lxor b;
+      rows.(drop) <- rows.(drop) lxor bv;
+      let deletion =
+        match version with
+        | Usage_cost.Sum -> None
+        | Usage_cost.Max ->
+          let after = word_cost version rows n v ~limit:(before + 1) in
+          if after <= before then Some (Swap.Delete { actor = v; drop }, after - before)
+          else None
+      in
+      let w = match deletion with Some _ -> deletion | None -> adds drop targets in
+      rows.(v) <- rows.(v) lxor b;
+      rows.(drop) <- rows.(drop) lxor bv;
+      match w with Some _ -> w | None -> drops (m lxor b)
+    end
+  in
+  drops rows.(v)
+
+(* The per-agent scan a check runs and its connectivity pre-check: the
+   word scan up to 62 vertices, the engine above. The engine is shared
+   across agents, so its lazily computed distance rows amortise over the
+   whole check; its pre-check reads vertex 0's row, which agent 0's scan
+   wants anyway. *)
+let scanner version g =
+  let n = Graph.n g in
+  if n <= word_max_n then begin
+    let rows = Graph.masks g in
+    let connected =
+      n <= 1 || word_cost Usage_cost.Max rows n 0 ~limit:max_int < Usage_cost.infinite
+    in
+    (connected, word_violation version rows)
+  end
+  else begin
+    let eng = Swap_eval.create g in
+    (Swap_eval.connected eng, agent_violation version eng)
+  end
 
 (* Agents whose move lists were scanned, early exits taken, and — as a
    gauge — the actor index of the last violating move found. The span
@@ -54,36 +173,32 @@ let m_violating_agent = Telemetry.gauge "equilibrium.violating_agent"
 
 let m_check = Telemetry.span "equilibrium.check"
 
-(* Fan the per-agent scans across the pool. The engine's bound fallback
-   applies and undoes moves on the graph, so every domain works on its
-   own [Graph.copy] behind its own engine; [Pool.parallel_find] keeps
-   the lowest-agent witness, matching the sequential scan order. The
-   sequential engine is shared across agents, so lazily computed
-   distance rows amortise over the whole check. *)
-let check_with ~agent_violation ?pool g =
+(* Above 62 vertices a pool fans the per-agent engine scans across
+   domains. The engine's bound fallback applies and undoes moves on the
+   graph, so every domain works on its own [Graph.copy] behind its own
+   engine; [Pool.parallel_find] keeps the lowest-agent witness, matching
+   the sequential scan order. *)
+let check_with version ?pool g =
   let t0 = Telemetry.start () in
-  (* the connectivity pre-check reads vertex 0's row off the engine; on
-     the sequential path the scan starts at agent 0, which wants exactly
-     that row, so the check costs no extra BFS at all *)
-  let eng = Swap_eval.create g in
+  let connected, violation = scanner version g in
   let verdict =
-    if not (Swap_eval.connected eng) then Disconnected
+    if not connected then Disconnected
     else begin
       let n = Graph.n g in
       let witness =
         match pool with
-        | Some pool when Pool.jobs pool > 1 ->
+        | Some pool when Pool.jobs pool > 1 && n > word_max_n ->
           Pool.parallel_find pool ~n
             ~init:(fun () -> Swap_eval.create (Graph.copy g))
             (fun eng v ->
               Telemetry.incr m_agents;
-              agent_violation eng v)
+              agent_violation version eng v)
         | _ ->
           let rec scan v =
             if v >= n then None
             else begin
               Telemetry.incr m_agents;
-              match agent_violation eng v with
+              match violation v with
               | Some _ as w -> w
               | None -> scan (v + 1)
             end
@@ -135,8 +250,8 @@ let check_alpha_game st =
 
 let check ?pool game g =
   match game with
-  | Game.Sum -> check_with ~agent_violation:agent_violation_sum ?pool g
-  | Game.Max -> check_with ~agent_violation:agent_violation_max ?pool g
+  | Game.Sum -> check_with Usage_cost.Sum ?pool g
+  | Game.Max -> check_with Usage_cost.Max ?pool g
   | Game.Alpha a ->
     ignore pool;
     check_alpha_game (Alpha_game.create ~alpha:a g)
@@ -144,14 +259,14 @@ let check ?pool game g =
 let is_equilibrium ?pool game g = check ?pool game g = Equilibrium
 
 let violating_agents game g =
+  let scan version =
+    let _, violation = scanner version g in
+    fun v -> violation v <> None
+  in
   let violates =
     match game with
-    | Game.Sum ->
-      let eng = Swap_eval.create g in
-      fun v -> agent_violation_sum eng v <> None
-    | Game.Max ->
-      let eng = Swap_eval.create g in
-      fun v -> agent_violation_max eng v <> None
+    | Game.Sum -> scan Usage_cost.Sum
+    | Game.Max -> scan Usage_cost.Max
     | Game.Alpha alpha ->
       let st = Alpha_game.create ~alpha g in
       fun v -> Alpha_game.first_improving_move st v <> None

@@ -27,9 +27,9 @@ val pp_verdict : Format.formatter -> verdict -> unit
 
 val check : ?pool:Pool.t -> Game.t -> Graph.t -> verdict
 (** [check game g] is {!check_sum} for [Sum] and {!check_max} for [Max];
-    [?pool] as below. For [Alpha a] it is {!check_alpha_game} on
-    [Alpha_game.create ~alpha:a g] (each edge owned by its smaller
-    endpoint); [?pool] is ignored there. *)
+    [?pool] as below: it matters only above 62 vertices. For [Alpha a]
+    it is {!check_alpha_game} on [Alpha_game.create ~alpha:a g] (each
+    edge owned by its smaller endpoint); [?pool] is ignored there. *)
 
 val check_alpha_game : Alpha_game.t -> verdict
 (** The α-game check of a state under the edge ownership it carries —
@@ -43,20 +43,22 @@ val is_equilibrium : ?pool:Pool.t -> Game.t -> Graph.t -> bool
 
 val violating_agents : Game.t -> Graph.t -> int
 (** Number of agents holding at least one improving move, found with
-    {!check}'s own per-agent scans: 0 iff equilibrium for connected
-    graphs. For [Max] an agent also violates by holding a non-critical
-    deletion; for [Alpha _] the moves are Buy/Sell/Swap_owned under
-    default ownership. The local-search objective of {!Hunt}. *)
+    {!check}'s own per-agent scans, run sequentially: 0 iff equilibrium
+    for connected graphs. For [Max] an agent also violates by holding a
+    non-critical deletion; for [Alpha _] the moves are Buy/Sell/Swap_owned
+    under default ownership. The local-search objective of {!Hunt}. *)
 
 (** {1 Sum version} *)
 
 val check_sum : ?pool:Pool.t -> Graph.t -> verdict
 (** Sum equilibrium: no swap strictly decreases the actor's distance sum.
     Deletions never decrease a distance sum so they are not checked.
-    With [?pool] the per-agent move scans run across domains, each on its
-    own graph copy and BFS workspace; the verdict — including the exact
-    witness move — is identical to the sequential scan (lowest agent,
-    first move in enumeration order). *)
+    Up to 62 vertices the scan runs sequentially over adjacency bit masks
+    and [?pool] is unused. Above 62 vertices, with [?pool] the per-agent
+    move scans run across domains, each on its own graph copy and
+    {!Swap_eval} engine. Either way the verdict — including the exact
+    witness move and delta — is identical to the sequential naive scan
+    (lowest agent, first move in enumeration order). *)
 
 val is_sum_equilibrium : ?pool:Pool.t -> Graph.t -> bool
 
@@ -66,7 +68,8 @@ val check_max : ?pool:Pool.t -> Graph.t -> verdict
 (** Max equilibrium per the paper: no swap strictly decreases the actor's
     local diameter, {b and} every incident deletion strictly increases it.
     A reported [Violation (Delete _, d)] with [d <= 0] is a failure of the
-    deletion-criticality half. [?pool] as in {!check_sum}. *)
+    deletion-criticality half. [?pool] as in {!check_sum}: it matters
+    only above 62 vertices. *)
 
 val is_max_equilibrium : ?pool:Pool.t -> Graph.t -> bool
 

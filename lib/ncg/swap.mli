@@ -5,11 +5,13 @@
     paper's encoding of deletion, represented explicitly by {!Delete}.
 
     Evaluation here is the {e naive oracle}: apply the move, BFS from the
-    actor, undo — two full BFS per candidate. The equilibrium checkers,
-    dynamics and hunts evaluate candidates through {!Swap_eval} instead,
-    which amortises distance vectors across an agent's moves and
-    bound-certifies most skips; the scans below are kept as the reference
-    implementation the engine is differential-tested against. *)
+    actor, undo — two full BFS per candidate. Dynamics, hunts and the
+    equilibrium checkers above 62 vertices evaluate candidates through
+    {!Swap_eval} instead, which amortises distance vectors across an
+    agent's moves and bound-certifies most skips; up to 62 vertices the
+    checkers run {!Equilibrium}'s word-parallel scan over adjacency masks.
+    The scans below are kept as the reference implementation both are
+    differential-tested against. *)
 
 type move =
   | Swap of { actor : int; drop : int; add : int }

@@ -210,6 +210,96 @@ let test_violating_agents_match_check =
           (Equilibrium.violating_agents game g = 0) = Equilibrium.is_equilibrium game g)
         [ Game.Sum; Game.Max; Game.Alpha 1.0 ])
 
+(* The naive oracle for the word scan: the first violation in scan
+   order, every move priced by Swap.delta's apply/BFS/undo, with cutoff 0
+   for swaps and 1 for max deletions. *)
+let oracle_violation ws version g v =
+  let found = ref None in
+  (try
+     Swap.iter_moves ~include_deletions:(version = Usage_cost.Max) g v (fun mv ->
+         let d = Swap.delta ws version g mv in
+         let cutoff = match mv with Swap.Swap _ -> 0 | Swap.Delete _ -> 1 in
+         if d < cutoff then begin
+           found := Some (mv, d);
+           raise Exit
+         end)
+   with Exit -> ());
+  !found
+
+let oracle_check version g =
+  if not (Components.is_connected g) then Equilibrium.Disconnected
+  else begin
+    let ws = Bfs.create_workspace (Graph.n g) in
+    let rec scan v =
+      if v >= Graph.n g then Equilibrium.Equilibrium
+      else
+        match oracle_violation ws version g v with
+        | Some (mv, d) -> Equilibrium.Violation (mv, d)
+        | None -> scan (v + 1)
+    in
+    scan 0
+  end
+
+let oracle_violating_agents version g =
+  let ws = Bfs.create_workspace (Graph.n g) in
+  List.length
+    (List.filter
+       (fun v -> oracle_violation ws version g v <> None)
+       (List.init (Graph.n g) Fun.id))
+
+(* [None] when [check] and [violating_agents] agree with the oracle in
+   both basic games, else the first disagreement *)
+let oracle_mismatch g =
+  List.find_map
+    (fun (game, version) ->
+      let got = Equilibrium.check game g and want = oracle_check version g in
+      let got_n = Equilibrium.violating_agents game g in
+      let want_n = oracle_violating_agents version g in
+      if got = want && got_n = want_n then None
+      else
+        Some
+          (Format.asprintf "%s %s: check %a (oracle %a), %d violating agents (oracle %d)"
+             (Game.to_string game) (Graph6.encode g) Equilibrium.pp_verdict got
+             Equilibrium.pp_verdict want got_n want_n))
+    [ (Game.Sum, Usage_cost.Sum); (Game.Max, Usage_cost.Max) ]
+
+let expect_oracle g = Option.iter Alcotest.fail (oracle_mismatch g)
+
+(* connected classes on n vertices (OEIS A001349): 996 up to n = 7 *)
+let connected_classes = [| 1; 1; 1; 2; 6; 21; 112; 853; 11117 |]
+
+let test_classes_match_oracle n () =
+  let classes = ref 0 in
+  Orderly.iter n (fun g _ ->
+      incr classes;
+      expect_oracle g);
+  check_int "classes" connected_classes.(n) !classes
+
+(* both sides of the 62-vertex cut, connected and not: the word scan's
+   last vertex is bit 61; and the graphs with no agent or no move *)
+let test_cut_matches_oracle () =
+  List.iter (fun n -> expect_oracle (Graph.create n)) [ 0; 1 ];
+  List.iter
+    (fun n ->
+      let rng = Prng.create n in
+      List.iter expect_oracle
+        [
+          Generators.path n;
+          Generators.star n;
+          Random_graphs.connected_gnm rng n (n + 4);
+          Random_graphs.gnp rng n (2.0 /. float_of_int n);
+        ])
+    [ 61; 62; 63 ]
+
+let gen_any_sparse =
+  QCheck2.Gen.map
+    (fun ((n, seed), connected) ->
+      let rng = Prng.create seed in
+      if connected then
+        Random_graphs.connected_gnm rng n (min (n * (n - 1) / 2) (n - 1 + Prng.int rng n))
+      else Random_graphs.gnp rng n (Prng.float rng (min 1.0 (4.0 /. float_of_int n))))
+    QCheck2.Gen.(pair (gen_sized_seed ~min_n:2 ~max_n:64) bool)
+
 let suite =
   [
     case "star equilibria" test_star_both_versions;
@@ -231,4 +321,12 @@ let suite =
     test_sum_eq_agrees_with_bruteforce;
     test_converged_dynamics_are_equilibria;
     test_violating_agents_match_check;
+    case "oracle: classes n <= 7" (fun () ->
+        for n = 1 to 7 do
+          test_classes_match_oracle n ()
+        done);
+    slow_case "oracle: classes n = 8" (test_classes_match_oracle 8);
+    case "oracle: n = 0, 1, 61, 62, 63" test_cut_matches_oracle;
+    qcheck ~count:60 "oracle: random n = 2-64" gen_any_sparse
+      (fun g -> oracle_mismatch g = None);
   ]

@@ -124,6 +124,14 @@ let test_remove_add_roundtrip =
         Graph.equal g h && Graph.hash g = Graph.hash h
       | [] -> true)
 
+let test_masks () =
+  check_true "P3" (Graph.masks (Generators.path 3) = [| 0b010; 0b101; 0b010 |]);
+  let star = Graph.masks (Generators.star 62) in
+  check_true "62-star: bit 61 set, masks non-negative"
+    (star.(61) = 1 && star.(0) = (1 lsl 62) - 2 && Array.for_all (fun m -> m >= 0) star);
+  Alcotest.check_raises "63 vertices" (Invalid_argument "Graph.masks: more than 62 vertices")
+    (fun () -> ignore (Graph.masks (Graph.create 63)))
+
 let suite =
   [
     case "create" test_create;
@@ -141,6 +149,7 @@ let suite =
     case "hash restored after undo" test_hash_after_mutation;
     case "degree statistics" test_degree_stats;
     case "complement edges" test_complement_edges;
+    case "masks" test_masks;
     test_handshake_property;
     test_remove_add_roundtrip;
   ]

@@ -156,12 +156,17 @@ let test_empty_and_degenerate_ranges () =
 
 (* --- parallel kernels equal the sequential ones -------------------------- *)
 
+(* the pool fans out only above 62 vertices, where the per-agent scans
+   run on Swap_eval: torus k = 6 (72 vertices) is a max equilibrium, so
+   that scan is full, and Q7 (128) has a deletion witness *)
 let kernel_graphs () =
   [
     ("torus-k3", Constructions.torus 3);
     ("hypercube-q4", Generators.hypercube 4);
     ("path-7", Generators.path 7);
     ("double-star-3-3", Generators.double_star 3 3);
+    ("torus-k6", Constructions.torus 6);
+    ("hypercube-q7", Generators.hypercube 7);
   ]
 
 let test_equilibrium_determinism () =

@@ -116,8 +116,8 @@ let test_diameter_vs_eccentricities () =
 
 let verdict_to_string = Format.asprintf "%a" Equilibrium.pp_verdict
 
-let random_instance rng =
-  let n = Prng.int_in_range rng ~lo:4 ~hi:10 in
+let random_instance ?(lo = 4) ?(hi = 10) rng =
+  let n = Prng.int_in_range rng ~lo ~hi in
   let t = Random_graphs.tree rng n in
   if Prng.bool rng then t
   else begin
@@ -128,12 +128,18 @@ let random_instance rng =
     t
   end
 
+(* the pool fans out only above 62 vertices, so past the [iters] small
+   instances come [large] on n = 63-80 *)
+let large = 40
+
 let test_equilibrium_pool_differential () =
   Pool.with_pool ~jobs:1 (fun seq ->
       Pool.with_pool ~jobs:4 (fun par ->
-          for i = 0 to iters - 1 do
+          for i = 0 to iters + large - 1 do
             let rng = Prng.create (0xEC0 + i) in
-            let g = random_instance rng in
+            let g =
+              if i < iters then random_instance rng else random_instance ~lo:63 ~hi:80 rng
+            in
             let check name f =
               let a = f ?pool:(Some seq) g in
               let b = f ?pool:(Some par) g in

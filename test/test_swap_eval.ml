@@ -37,6 +37,32 @@ let naive_verdict version g =
     | None -> Equilibrium.Equilibrium
   end
 
+(* The engine's own equilibrium scan, as [Equilibrium.check] runs it
+   above 62 vertices: connectivity off vertex 0's cached row, then lowest
+   agent first, moves in enumeration order, each priced by
+   [Swap_eval.delta_below] with cutoff 0 for swaps and 1 for max
+   deletions. *)
+let engine_verdict version g =
+  let eng = Swap_eval.create g in
+  if not (Swap_eval.connected eng) then Equilibrium.Disconnected
+  else begin
+    let witness = ref None in
+    (try
+       for v = 0 to Graph.n g - 1 do
+         iter_agent_moves ~deletions:(version = Usage_cost.Max) g v (fun mv ->
+             let cutoff = match mv with Swap.Swap _ -> 0 | Swap.Delete _ -> 1 in
+             match Swap_eval.delta_below eng version mv ~cutoff with
+             | Some d ->
+               witness := Some (mv, d);
+               raise Exit
+             | None -> ())
+       done
+     with Exit -> ());
+    match !witness with
+    | Some (mv, d) -> Equilibrium.Violation (mv, d)
+    | None -> Equilibrium.Equilibrium
+  end
+
 (* [~deltas:false] skips the per-move delta checks and
    [~selection:false] the three selection rules. *)
 let moves_match ?(deltas = true) ?(selection = true) version g =
@@ -102,7 +128,9 @@ let suite =
       (gen_connected ~min_n:2 ~max_n:8)
       (fun g ->
         Equilibrium.check_sum g = naive_verdict Usage_cost.Sum g
-        && Equilibrium.check_max g = naive_verdict Usage_cost.Max g);
+        && Equilibrium.check_max g = naive_verdict Usage_cost.Max g
+        && engine_verdict Usage_cost.Sum g = naive_verdict Usage_cost.Sum g
+        && engine_verdict Usage_cost.Max g = naive_verdict Usage_cost.Max g);
     qcheck ~count:80 "invalidate: engine tracks graph mutation"
       (gen_connected ~min_n:3 ~max_n:8)
       (fun g ->
@@ -144,7 +172,7 @@ let suite =
         let certified = Telemetry.counter "swap_eval.certified" in
         let fallbacks = Telemetry.counter "swap_eval.bfs_fallbacks" in
         check_true "torus 2 is a max equilibrium"
-          (Equilibrium.is_max_equilibrium g);
+          (engine_verdict Usage_cost.Max g = Equilibrium.Equilibrium);
         let c = Telemetry.counter_value certified in
         let f = Telemetry.counter_value fallbacks in
         Telemetry.set_enabled false;
@@ -159,7 +187,7 @@ let suite =
         let naive_nodes = Telemetry.counter "bfs.visits" in
         let n = 7 in
         Enumerate.trees n (fun g ->
-            match Equilibrium.check_sum g with
+            match engine_verdict Usage_cost.Sum g with
             | Equilibrium.Disconnected -> Alcotest.fail "tree disconnected"
             | _ -> ());
         let m = Telemetry.counter_value moves in
