@@ -255,8 +255,9 @@ let check game jobs stats stats_json g6 =
   match decode_graph g6 with
   | Error msg -> `Error (false, msg)
   | Ok g ->
+    (* a pool of one job spawns no domain; --jobs < 0 is refused either way *)
+    with_jobs (if jobs < 0 || Equilibrium.uses_pool game g then jobs else 1) @@ fun pool ->
     with_stats stats stats_json @@ fun () ->
-    with_jobs jobs @@ fun pool ->
     let verdict = Equilibrium.check ~pool game g in
     Printf.printf "version: %s\n" (Game.to_string game);
     Printf.printf "verdict: %s\n" (Format.asprintf "%a" Equilibrium.pp_verdict verdict);

@@ -2,80 +2,86 @@ let max_search_vertices = 16
 
 (* --- color refinement ----------------------------------------------- *)
 
-(* Each round ranks the vertices by (color, sorted neighbour colors).
-   The neighbour ids sit in a CSR. A round writes each vertex's
-   neighbour colors into its slice, visiting the neighbours in [order],
-   which is sorted by color, so every slice comes out sorted. It then
-   insertion-sorts [order] by (color, slice), which moves vertices only
-   within their color class, and hands out dense ranks along it.
-   Starting from one class, round 0 ranks by degree: the all-zero
-   slices order by length. *)
-let refine g =
-  let n = Graph.n g in
-  let off = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    off.(v + 1) <- off.(v) + Graph.degree g v
-  done;
-  let nbr = Array.make off.(n) 0 and slot = Array.make off.(n) 0 in
-  for v = 0 to n - 1 do
-    for i = 0 to Graph.degree g v - 1 do
-      nbr.(off.(v) + i) <- Graph.nth_neighbor g v i
-    done
-  done;
-  let color = Array.make n 0 and next = Array.make n 0 and fill = Array.make n 0 in
-  let order = Array.init n Fun.id in
-  (* by color, then by slice, lexicographically, a prefix first *)
-  let cmp u v =
-    if color.(u) <> color.(v) then color.(u) - color.(v)
+(* Within a class: the first color class, lowest first, where the
+   neighbour rows [ru] and [rv] have different counts decides, and more
+   neighbours there sorts first. [members.(c)] holds the vertices of
+   color c. *)
+let rec by_counts members classes ru rv c =
+  if c = classes then 0
+  else begin
+    let a = ru land members.(c) and b = rv land members.(c) in
+    if a = b then by_counts members classes ru rv (c + 1)
     else begin
-      let i = ref off.(u) and j = ref off.(v) in
-      while !i < off.(u + 1) && !j < off.(v + 1) && slot.(!i) = slot.(!j) do
-        incr i;
-        incr j
-      done;
-      if !i < off.(u + 1) && !j < off.(v + 1) then slot.(!i) - slot.(!j)
-      else off.(u + 1) - !i - (off.(v + 1) - !j)
+      let d = Bitset.popcount b - Bitset.popcount a in
+      if d <> 0 then d else by_counts members classes ru rv (c + 1)
     end
-  in
-  let classes = ref 1 and grew = ref true in
-  while !grew do
-    Array.blit off 0 fill 0 n;
-    for p = 0 to n - 1 do
-      let w = order.(p) in
-      for i = off.(w) to off.(w + 1) - 1 do
-        let v = nbr.(i) in
-        slot.(fill.(v)) <- color.(w);
-        fill.(v) <- fill.(v) + 1
-      done
+  end
+
+(* Round 0 ranks the vertices by degree: a degree's rank is the number
+   of smaller degrees present. Every later round keeps the class order
+   and splits each class by [by_counts]. This is the documented order:
+   a class has one degree, since round 0 splits by degree and later
+   rounds only split, so two sorted neighbour-color lists of one class
+   have equal length, and the list with more entries of the first color
+   where the counts differ is the smaller.
+
+   [order] lists the vertices by color, so the classes are runs of it;
+   a round insertion-sorts each run and hands out dense ranks along
+   it. *)
+let refine_masks rows =
+  let n = Array.length rows in
+  let color = Array.make n 0 and next = Array.make n 0 and order = Array.make n 0 in
+  let members = Array.make n 0 in
+  let degrees = ref 0 in
+  for v = 0 to n - 1 do
+    degrees := !degrees lor (1 lsl Bitset.popcount rows.(v))
+  done;
+  for v = 0 to n - 1 do
+    color.(v) <- Bitset.popcount (!degrees land ((1 lsl Bitset.popcount rows.(v)) - 1));
+    let q = ref v in
+    while !q > 0 && color.(order.(!q - 1)) > color.(v) do
+      order.(!q) <- order.(!q - 1);
+      decr q
+    done;
+    order.(!q) <- v
+  done;
+  let classes = ref (Bitset.popcount !degrees) and grew = ref true in
+  (* a round only splits classes, so one that leaves the count unchanged
+     is a fixpoint; one class (all degrees equal) and n classes are too *)
+  while !grew && !classes > 1 && !classes < n do
+    let k = !classes in
+    Array.fill members 0 k 0;
+    for v = 0 to n - 1 do
+      members.(color.(v)) <- members.(color.(v)) lor (1 lsl v)
     done;
     for p = 1 to n - 1 do
       let v = order.(p) and q = ref p in
-      while !q > 0 && cmp order.(!q - 1) v > 0 do
+      while
+        !q > 0
+        && color.(order.(!q - 1)) = color.(v)
+        && by_counts members k rows.(order.(!q - 1)) rows.(v) 0 > 0
+      do
         order.(!q) <- order.(!q - 1);
         decr q
       done;
       order.(!q) <- v
     done;
     let rank = ref 0 in
-    for p = 0 to n - 1 do
-      if p > 0 && cmp order.(p - 1) order.(p) <> 0 then incr rank;
-      next.(order.(p)) <- !rank
+    next.(order.(0)) <- 0;
+    for p = 1 to n - 1 do
+      let u = order.(p - 1) and v = order.(p) in
+      if color.(u) <> color.(v) || by_counts members k rows.(u) rows.(v) 0 <> 0 then incr rank;
+      next.(v) <- !rank
     done;
-    (* a round only splits classes, so an unchanged count is a fixpoint,
-       and there [next] = [color] *)
-    grew := !rank + 1 > !classes;
-    if !grew then begin
-      Array.blit next 0 color 0 n;
-      classes := !rank + 1
-    end
+    Array.blit next 0 color 0 n;
+    classes := !rank + 1;
+    grew := !classes > k
   done;
   color
 
-(* --- the search ---------------------------------------------------------- *)
+let refine g = refine_masks (Graph.masks g)
 
-let check_cap g =
-  if Graph.n g > max_search_vertices then
-    invalid_arg "Canon: graph exceeds max_search_vertices"
+(* --- the search ---------------------------------------------------------- *)
 
 type cert = {
   form : string;
@@ -87,16 +93,35 @@ type cert = {
 
 let m_nodes = Telemetry.counter "canon.nodes"
 
-(* the orbit of [v] under the group generated by [gens], as a bitmask *)
-let orbit gens v =
-  let rec visit mask x =
-    List.fold_left
-      (fun mask sigma ->
-        let y = sigma.(x) in
-        if mask land (1 lsl y) <> 0 then mask else visit (mask lor (1 lsl y)) y)
-      mask gens
+(* [bit.(b mod 19)] is [i] for [b = 2^i] below the search cap: 2 has
+   order 18 modulo the prime 19, so 2^0 ... 2^15 leave distinct residues *)
+let bit =
+  let t = Array.make 19 0 in
+  for i = 0 to max_search_vertices - 1 do
+    t.((1 lsl i) mod 19) <- i
+  done;
+  t
+
+(* [acc] plus the images of [x] under the kept automorphisms (each with
+   the mask of the vertices it fixes) that fix all of [placed] *)
+let rec images gens placed x acc =
+  match gens with
+  | [] -> acc
+  | (sigma, fixed) :: gens ->
+    images gens placed x (if fixed land placed = placed then acc lor (1 lsl sigma.(x)) else acc)
+
+(* the orbit of [v] under the group those automorphisms generate, as a
+   bitmask: [todo] holds the vertices reached but not yet mapped *)
+let orbit gens placed v =
+  let rec grow orb todo =
+    if todo = 0 then orb
+    else begin
+      let b = todo land -todo in
+      let fresh = images gens placed bit.(b mod 19) 0 land lnot orb in
+      grow (orb lor fresh) (todo lxor b lor fresh)
+    end
   in
-  visit (1 lsl v) v
+  grow (1 lsl v) (1 lsl v)
 
 (* string order of two columns: the lowest differing bit decides, and a
    clear bit ('0') is the smaller *)
@@ -127,18 +152,17 @@ let compare_columns a b =
    automorphisms fixing [perm]'s prefix have the full stabilizer's
    orbit: |Aut| is the product of those orbit sizes (orbit–stabilizer),
    and the kept set generates Aut. *)
-let cert g =
-  check_cap g;
-  let n = Graph.n g in
+let cert_masks rows colors =
+  let n = Array.length rows in
+  if n > max_search_vertices then invalid_arg "Canon: graph exceeds max_search_vertices";
   if n = 0 then { form = ""; perm = [||]; aut_count = 1; position_vertices = [||]; generators = [] }
   else begin
-    let adj = Graph.masks g in
     (* [cells.(p)]: the color class position p draws from. Position p gets
        the p-th smallest color, so the classes (colors lie in [0, n)) take
        consecutive positions in color order. *)
     let cells = Array.make n 0 in
     let classes = Array.make n 0 in
-    Array.iteri (fun x c -> classes.(c) <- classes.(c) lor (1 lsl x)) (refine g);
+    Array.iteri (fun x c -> classes.(c) <- classes.(c) lor (1 lsl x)) colors;
     let p = ref 0 in
     Array.iter
       (fun cls ->
@@ -154,17 +178,15 @@ let cert g =
     let have_best = ref false in
     (* kept automorphisms, each with the mask of the vertices it fixes *)
     let gens = ref [] in
-    let fixing placed =
-      List.filter_map (fun (s, fixed) -> if fixed land placed = placed then Some s else None) !gens
-    in
     (* a tying leaf sets this to the depth the search returns to *)
     let unwind = ref n and nodes = ref 0 in
     let toggle v x =
-      let m = ref adj.(x) and w = ref 0 in
+      let m = ref rows.(x) in
       while !m <> 0 do
-        if !m land 1 <> 0 then col.(!w) <- col.(!w) lxor (1 lsl v);
-        m := !m lsr 1;
-        incr w
+        let b = !m land - !m in
+        let w = bit.(b mod 19) in
+        col.(w) <- col.(w) lxor (1 lsl v);
+        m := !m lxor b
       done
     in
     (* [go v placed lt] places positions v.. with [lt] = "the prefix is
@@ -195,32 +217,25 @@ let cert g =
       end
       else begin
         let updated = ref false and lt = ref lt and tried = ref 0 in
-        (* the unplaced vertices of position v's class, shifted down past x *)
-        let free = ref (cells.(v) land lnot placed) and x = ref 0 in
+        (* the unplaced vertices of position v's class, lowest first *)
+        let free = ref (cells.(v) land lnot placed) in
         while !free <> 0 && !unwind > v do
-          let c = !x in
-          if !free land 1 <> 0 then begin
-            let verdict =
-              if !lt || not !have_best then -1 else compare_columns col.(c) best.(v)
-            in
-            if
-              verdict <= 0
-              && (match !gens with [] -> true | _ -> orbit (fixing placed) c land !tried = 0)
-            then begin
-              tried := !tried lor (1 lsl c);
-              perm.(v) <- c;
-              column.(v) <- col.(c);
-              toggle v c;
-              if go (v + 1) (placed lor (1 lsl c)) (!lt || verdict < 0) then begin
-                lt := false;
-                updated := true
-              end;
-              toggle v c;
-              if !unwind = v then unwind := n
-            end
-          end;
-          free := !free lsr 1;
-          incr x
+          let b = !free land - !free in
+          free := !free lxor b;
+          let c = bit.(b mod 19) in
+          let verdict = if !lt || not !have_best then -1 else compare_columns col.(c) best.(v) in
+          if verdict <= 0 && (!tried = 0 || orbit !gens placed c land !tried = 0) then begin
+            tried := !tried lor b;
+            perm.(v) <- c;
+            column.(v) <- col.(c);
+            toggle v c;
+            if go (v + 1) (placed lor b) (!lt || verdict < 0) then begin
+              lt := false;
+              updated := true
+            end;
+            toggle v c;
+            if !unwind = v then unwind := n
+          end
         done;
         !updated
       end
@@ -236,18 +251,21 @@ let cert g =
     let aut_count = ref 1 and placed = ref 0 in
     Array.iter
       (fun v ->
-        aut_count := !aut_count * Bitset.popcount (orbit (fixing !placed) v);
+        aut_count := !aut_count * Bitset.popcount (orbit !gens !placed v);
         placed := !placed lor (1 lsl v))
       best_perm;
-    let generators = List.rev_map fst !gens in
     {
       form = string_of_int n ^ ":" ^ Bytes.unsafe_to_string bits;
       perm = best_perm;
       aut_count = !aut_count;
-      position_vertices = Array.map (orbit generators) best_perm;
-      generators;
+      position_vertices = Array.map (orbit !gens 0) best_perm;
+      generators = List.rev_map fst !gens;
     }
   end
+
+let cert g =
+  let rows = Graph.masks g in
+  cert_masks rows (refine_masks rows)
 
 let canonical_form g = (cert g).form
 

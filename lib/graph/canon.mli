@@ -33,10 +33,19 @@ val refine : Graph.t -> int array
     census's shard rank space; [test_orderly]'s emission digests pin all
     of them. Since the first classes are the degrees and a round only
     splits classes, a vertex of higher degree always has a higher color,
-    so degrees never decrease along {!cert}'s [perm]. {!Orderly}'s degree
-    test depends on this, and [test_canon] checks it.
-    Works for any size: a round is O(n + m) plus an insertion
-    sort within each color class. *)
+    and colors (so degrees) never decrease along {!cert}'s [perm].
+    {!Orderly}'s degree and color tests depend on this, and [test_canon]
+    checks it.
+    Runs on {!Graph.masks} rows, one int of neighbour bits per vertex,
+    so it takes graphs of at most 62 vertices. Round 0 ranks degrees in
+    O(n); a later round insertion-sorts each class, comparing two of its
+    vertices by their neighbour counts per color class.
+    @raise Invalid_argument past 62 vertices. *)
+
+val refine_masks : int array -> int array
+(** [refine] on adjacency rows as {!Graph.masks} gives them ([rows.(v)]
+    has bit [w] set iff [vw] is an edge, at most 62 rows); [refine g] is
+    [refine_masks (Graph.masks g)]. *)
 
 val canonical_form : Graph.t -> string
 (** [(cert g).form]: equal iff the graphs are isomorphic (for graphs
@@ -76,6 +85,12 @@ type cert = {
 val cert : Graph.t -> cert
 (** The one search; every other function here reads its result. Bumps
     the [canon.nodes] telemetry counter once per search node. *)
+
+val cert_masks : int array -> int array -> cert
+(** [cert_masks rows colors] is the search on adjacency rows, where
+    [colors] must be [refine_masks rows]; [cert g] is that on
+    {!Graph.masks}[ g]. A caller that has the rows and needs the colors
+    anyway (the orderly census's color test) pays one refinement. *)
 
 val automorphism_count : Graph.t -> int
 (** [(cert g).aut_count]. *)

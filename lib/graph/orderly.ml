@@ -40,6 +40,8 @@ let m_extensions = Telemetry.counter "census.orderly.extensions"
 
 let m_pruned = Telemetry.counter "census.orderly.pruned"
 
+let m_color_pruned = Telemetry.counter "census.orderly.color_pruned"
+
 let apply_mask sigma mask =
   let out = ref 0 in
   let m = ref mask in
@@ -51,14 +53,20 @@ let apply_mask sigma mask =
   done;
   !out
 
-(* child = parent plus vertex [k] adjacent to the set bits of [mask] *)
-let child_of parent k mask =
-  let h = Graph.create (k + 1) in
-  Graph.iter_edges (fun u v -> Graph.add_edge h u v) parent;
-  for u = 0 to k - 1 do
-    if mask land (1 lsl u) <> 0 then Graph.add_edge h u k
-  done;
-  h
+(* the graph of [rows], edges added in ascending order so that every
+   adjacency row is ascending *)
+let graph_of_rows rows =
+  let g = Graph.create (Array.length rows) in
+  Array.iteri
+    (fun v row ->
+      let m = ref (row lsr (v + 1)) and w = ref (v + 1) in
+      while !m <> 0 do
+        if !m land 1 <> 0 then Graph.add_edge g v !w;
+        m := !m lsr 1;
+        incr w
+      done)
+    rows;
+  g
 
 (* in the connected graph [rows], [u] is a cut vertex iff a flood from
    another vertex, never entering [u], misses some vertex *)
@@ -94,34 +102,37 @@ let accepts rows cert =
   let k = Array.length rows - 1 in
   canonical_deletion_orbit rows cert land (1 lsl k) <> 0
 
-(* The degree test: a child with a non-cut vertex u < k of higher degree
-   than the fresh vertex k is one [accepts] would reject, so it is
-   turned away before [Canon.cert]. [Canon.cert] fills positions one
-   [Canon.refine] class at a time, in color order; refinement starts
-   from ascending degree and only splits classes, so a vertex of higher
-   degree always gets a higher position. The canonical deletion is the
-   highest non-cut position q, so [perm.(q)] has the largest degree of
-   any non-cut vertex, and so does every vertex of its orbit
-   [position_vertices.(q)] (automorphisms keep degree). The fresh vertex
-   is never a cut vertex (removing it leaves the connected parent), so
-   a non-cut u with deg(u) > deg(k) keeps k out of that orbit. *)
-let outranked rows =
+(* The degree test and the color test. [Canon.cert_masks] fills
+   positions one color class at a time, in color order, so the
+   canonical deletion (the highest non-cut position q) puts at q a
+   vertex of the highest color of any non-cut vertex, and so is every
+   vertex of its orbit [position_vertices.(q)]: automorphisms keep
+   refinement colors. Refinement starts from ascending degree and only
+   splits classes, so the same holds for degrees. The fresh vertex k is
+   never a cut vertex (removing it leaves the connected parent), so a
+   non-cut u < k that outranks k by [rank], degree or color, keeps k out
+   of that orbit, and [accepts] would reject the child. The degree test
+   runs first, since it needs no refinement. *)
+let outranked rows rank =
   let k = Array.length rows - 1 in
-  let dk = Bitset.popcount rows.(k) in
-  let rec from u =
-    u < k && ((Bitset.popcount rows.(u) > dk && not (is_cut rows u)) || from (u + 1))
-  in
+  let rk = rank k in
+  let rec from u = u < k && ((rank u > rk && not (is_cut rows u)) || from (u + 1)) in
   from 0
 
-(* Extend [g] (with its certificate) from [k = Graph.n g] vertices up to
-   [target], depth-first, calling [f] on every accepted graph at level
-   [target]. Subset masks are tried in ascending order and only as the
-   least of their Aut(parent)-orbit — union–find over the 2^k masks with
-   the certificate's generators, which generate the group — so the
-   representative labeling and the emission order are deterministic. *)
-let rec extend g cert target f =
-  let k = Graph.n g in
-  if k = target then f g cert
+(* Extend the canonical graph [parent] (as [Graph.masks] rows, with its
+   certificate) from [k = Array.length parent] vertices up to [target],
+   depth-first, calling [f] on the rows and certificate of every
+   accepted graph at level [target]. Subset masks are tried in ascending
+   order and only as the least of their Aut(parent)-orbit — union–find
+   over the 2^k masks with the certificate's generators, which generate
+   the group — so the representative labeling and the emission order
+   are deterministic. A child stays rows: the degree test reads them,
+   one refinement feeds the color test and then the search, and an
+   accepted child's rows are extended in place (the loop rewrites them
+   only after the subtree returns). *)
+let rec extend parent cert target f =
+  let k = Array.length parent in
+  if k = target then f parent cert
   else begin
     let orbits = Union_find.create (1 lsl k) in
     List.iter
@@ -130,7 +141,6 @@ let rec extend g cert target f =
           ignore (Union_find.union orbits mask (apply_mask sigma mask))
         done)
       cert.Canon.generators;
-    let parent = Graph.masks g in
     let rows = Array.make (k + 1) 0 in
     let tried = Array.make (1 lsl k) false in
     for mask = 1 to (1 lsl k) - 1 do
@@ -142,18 +152,24 @@ let rec extend g cert target f =
           rows.(u) <- parent.(u) lor (((mask lsr u) land 1) lsl k)
         done;
         rows.(k) <- mask;
-        if outranked rows then begin
+        if outranked rows (fun u -> Bitset.popcount rows.(u)) then begin
           Telemetry.incr m_pruned;
           Telemetry.incr m_rejected
         end
         else begin
-          let h = child_of g k mask in
-          let child_cert = Canon.cert h in
-          if accepts rows child_cert then begin
-            Telemetry.incr m_generated;
-            extend h child_cert target f
+          let colors = Canon.refine_masks rows in
+          if outranked rows (Array.get colors) then begin
+            Telemetry.incr m_color_pruned;
+            Telemetry.incr m_rejected
           end
-          else Telemetry.incr m_rejected
+          else begin
+            let child_cert = Canon.cert_masks rows colors in
+            if accepts rows child_cert then begin
+              Telemetry.incr m_generated;
+              extend rows child_cert target f
+            end
+            else Telemetry.incr m_rejected
+          end
         end
       end
     done
@@ -164,15 +180,14 @@ let iter ?(lo = 0) ?hi n f =
   let total = space n in
   let hi = Option.value ~default:total hi in
   if lo < 0 || hi > total || lo > hi then invalid_arg "Orderly.iter";
-  let k1 = Graph.create 1 in
-  let k1_cert = Canon.cert k1 in
   let b = base_level n in
+  let emit rows cert = f (graph_of_rows rows) cert in
   let idx = ref 0 in
-  extend k1 k1_cert b (fun g cert ->
+  extend [| 0 |] (Canon.cert (Graph.create 1)) b (fun rows cert ->
       let i = !idx in
       incr idx;
       if i >= lo && i < hi then
-        if b = n then f g cert else extend g cert n f);
+        if b = n then emit rows cert else extend rows cert n emit);
   assert (!idx = total)
 
 let count ?lo ?hi n =

@@ -9,10 +9,12 @@
     therefore emitted {e exactly once}, with no post-hoc dedup table —
     the wall that capped the rank-range census at the 2^(n(n-1)/2) mask
     space. A child in which some non-cut vertex has a higher degree than
-    the fresh one fails that test, so it is rejected before its
-    certificate is computed. Emission order is a deterministic DFS of
-    the generation tree, so shards over root subtrees compose
-    reproducibly. *)
+    the fresh one fails that test, so the degree test rejects it before
+    any refinement; one in which some non-cut vertex has a higher
+    {!Canon.refine} color fails it too, so the color test rejects it
+    after the refinement and before the search. Emission order is a
+    deterministic DFS of the generation tree, so shards over root
+    subtrees compose reproducibly. *)
 
 val max_vertices : int
 (** 11 — the last level where labeled counts via n!/|Aut| summation

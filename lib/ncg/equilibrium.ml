@@ -248,6 +248,8 @@ let check_alpha_game st =
   Telemetry.stop m_check t0;
   verdict
 
+let uses_pool game g = Game.is_basic game && Graph.n g > word_max_n
+
 let check ?pool game g =
   match game with
   | Game.Sum -> check_with Usage_cost.Sum ?pool g

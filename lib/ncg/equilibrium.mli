@@ -31,6 +31,11 @@ val check : ?pool:Pool.t -> Game.t -> Graph.t -> verdict
     it is {!check_alpha_game} on [Alpha_game.create ~alpha:a g] (each
     edge owned by its smaller endpoint); [?pool] is ignored there. *)
 
+val uses_pool : Game.t -> Graph.t -> bool
+(** Whether {!check}'s [?pool] can matter: [Sum] or [Max] on more than
+    62 vertices. A caller that builds a pool for one check needs none
+    otherwise. *)
+
 val check_alpha_game : Alpha_game.t -> verdict
 (** The α-game check of a state under the edge ownership it carries —
     after {!Alpha_game.run_dynamics} that is no longer [create]'s

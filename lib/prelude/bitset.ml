@@ -31,9 +31,14 @@ let remove t i =
 
 let clear t = Array.fill t.words 0 (Array.length t.words) 0
 
+(* SWAR: counts per bit pair, nibble and byte, then one multiply sums
+   the bytes into the top one. The sign bit (bit 62) is a pair of its
+   own, so negative words count right too. *)
 let popcount x =
-  let rec loop x acc = if x = 0 then acc else loop (x land (x - 1)) (acc + 1) in
-  loop x 0
+  let x = x - ((x lsr 1) land 0x1555555555555555) in
+  let x = (x land 0x3333333333333333) + ((x lsr 2) land 0x3333333333333333) in
+  let x = (x + (x lsr 4)) land 0x0f0f0f0f0f0f0f0f in
+  (x * 0x0101010101010101) lsr 56
 
 let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 

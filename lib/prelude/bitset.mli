@@ -24,7 +24,8 @@ val cardinal : t -> int
 (** Population count; O(capacity / 63). *)
 
 val popcount : int -> int
-(** Set bits of one int (a nonnegative word or vertex mask). *)
+(** Set bits of one int (a word or a vertex mask), the sign bit
+    included. Branch-free: a dozen operations whatever the int holds. *)
 
 val iter : (int -> unit) -> t -> unit
 (** Visit members in increasing order. *)

@@ -34,6 +34,19 @@ let test_remove () =
   Bitset.remove s 5;
   check_int "remove idempotent" 0 (Bitset.cardinal s)
 
+(* every bit of an int counts, the sign bit (bit 62 of a word) too *)
+let test_popcount () =
+  check_int "0" 0 (Bitset.popcount 0);
+  check_int "-1" 63 (Bitset.popcount (-1));
+  check_int "min_int" 1 (Bitset.popcount min_int);
+  for i = 0 to 62 do
+    check_int (Printf.sprintf "bit %d" i) 1 (Bitset.popcount (1 lsl i));
+    check_int (Printf.sprintf "bits below %d" i) i (Bitset.popcount ((1 lsl i) - 1))
+  done;
+  let s = Bitset.create 126 in
+  List.iter (Bitset.add s) [ 0; 61; 62; 125 ];
+  check_int "cardinal over sign bits" 4 (Bitset.cardinal s)
+
 let test_bounds () =
   let s = Bitset.create 10 in
   Alcotest.check_raises "oob" (Invalid_argument "Bitset: out of range") (fun () ->
@@ -111,6 +124,7 @@ let suite =
     case "add/mem across word boundaries" test_add_mem;
     case "add idempotent" test_add_idempotent;
     case "remove" test_remove;
+    case "popcount counts the sign bit" test_popcount;
     case "bounds" test_bounds;
     case "clear" test_clear;
     case "iter sorted" test_iter_sorted;

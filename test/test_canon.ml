@@ -242,18 +242,21 @@ let test_refine_oracle_small () =
 
 let test_refine_oracle_n8 () = check_refine_classes 8
 
-(* --- degrees along perm ------------------------------------------------------- *)
+(* --- degrees and colors along perm ------------------------------------------ *)
 
 (* Positions take [refine]'s classes in color order, and colors start
-   from ascending degree, so degrees never decrease along [perm].
-   [Orderly]'s degree test depends on it. *)
+   from ascending degree, so neither colors nor degrees ever decrease
+   along [perm]. [Orderly]'s degree and color tests depend on it. *)
 let check_degree_order what g =
-  let degrees = Array.map (Graph.degree g) (Canon.cert g).Canon.perm in
-  let sorted = Array.copy degrees in
-  Array.sort Int.compare sorted;
-  check_int_array
-    (Printf.sprintf "%s %S: degrees along perm" what (Graph6.encode g))
-    sorted degrees
+  let perm = (Canon.cert g).Canon.perm in
+  let ascending field values =
+    let sorted = Array.copy values in
+    Array.sort Int.compare sorted;
+    check_int_array (Printf.sprintf "%s %S: %s along perm" what (Graph6.encode g) field) sorted values
+  in
+  ascending "degrees" (Array.map (Graph.degree g) perm);
+  let colors = Canon.refine g in
+  ascending "colors" (Array.map (Array.get colors) perm)
 
 (* every class up to n = 7, as generated and relabeled, and seeded
    G(n, p) up to n = 16 *)
@@ -271,6 +274,13 @@ let test_degree_order () =
     let n = Prng.int rng 17 in
     check_degree_order "G(n, p)" (Random_graphs.gnp rng n (Prng.float rng 1.0))
   done
+
+(* refinement runs on [Graph.masks] rows, one int per vertex *)
+let test_refine_domain () =
+  check_int "62 vertices: the star's center and its leaves" 2
+    (List.length (Stats.histogram (Canon.refine (Generators.star 62))));
+  Alcotest.check_raises "63 vertices" (Invalid_argument "Graph.masks: more than 62 vertices")
+    (fun () -> ignore (Canon.refine (Generators.star 63)))
 
 let suite =
   [
@@ -295,6 +305,7 @@ let suite =
     case "refine = oracle: classes (n <= 7) relabeled too, empty, G(n, p) to n = 60"
       test_refine_oracle_small;
     slow_case "refine = oracle on every class (n = 8), relabeled too" test_refine_oracle_n8;
-    case "degrees never decrease along perm: classes (n <= 7), G(n, p) to n = 16"
+    case "degrees never decrease along perm, nor colors: classes (n <= 7), G(n, p) to n = 16"
       test_degree_order;
+    case "refine takes at most 62 vertices" test_refine_domain;
   ]

@@ -190,8 +190,9 @@ let test_min_mask_small () =
 let test_min_mask_n7 () = check_min_mask_classes 7
 
 (* The generation tree's counters, as deltas over one [Orderly.count]:
-   every extension is generated or rejected, and [pruned] counts the
-   rejections the degree test makes before [Canon.cert]. *)
+   every extension is generated or rejected, [pruned] counts the
+   rejections the degree test makes before any refinement, and
+   [color_pruned] those the color test makes before the search. *)
 let tree_counters =
   List.map Telemetry.counter
     [
@@ -199,6 +200,7 @@ let tree_counters =
       "census.orderly.generated";
       "census.orderly.rejected";
       "census.orderly.pruned";
+      "census.orderly.color_pruned";
     ]
 
 let check_tree_counters n expected =
@@ -209,12 +211,12 @@ let check_tree_counters n expected =
   let after = List.map Telemetry.counter_value tree_counters in
   Telemetry.set_enabled was;
   Alcotest.(check (list int))
-    (Printf.sprintf "n = %d: extensions, generated, rejected, pruned" n)
+    (Printf.sprintf "n = %d: extensions, generated, rejected, pruned, color_pruned" n)
     expected (List.map2 ( - ) after before)
 
-let test_tree_counters_n7 () = check_tree_counters 7 [ 4159; 995; 3164; 2835 ]
+let test_tree_counters_n7 () = check_tree_counters 7 [ 4159; 995; 3164; 2835; 328 ]
 
-let test_tree_counters_n8 () = check_tree_counters 8 [ 71300; 12112; 59188; 53532 ]
+let test_tree_counters_n8 () = check_tree_counters 8 [ 71300; 12112; 59188; 53532; 5631 ]
 
 let suite =
   [

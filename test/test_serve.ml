@@ -779,7 +779,10 @@ let test_e2e_idle_worker_accepts () =
   (* A keeps its worker busy with a long census shard; a client C that
      connects meanwhile must be accepted by the idle worker, not queued
      behind A's shard. B is there so that handing connections out
-     round-robin would give C to A's worker. *)
+     round-robin would give C to A's worker. The shard must outlast
+     C's 0.1 s head start several times over: the first 40 of the 112
+     max n = 9 roots (54167 classes) take about 0.5 s on a 2-core VM,
+     the whole n = 8 census only about 0.1 s. *)
   let sock = temp_sock "idle" in
   let srv = Serve.start { (e2e_config sock) with Serve.workers = 2; jobs = 1 } in
   Fun.protect ~finally:(fun () -> Serve.stop srv) @@ fun () ->
@@ -789,9 +792,7 @@ let test_e2e_idle_worker_accepts () =
   ping a 1;
   ping b 2;
   Serve.send_line a
-    (Printf.sprintf
-       "{\"id\":3,\"method\":\"census-shard\",\"params\":{\"kind\":\"orderly\",\"game\":\"max\",\"n\":8,\"lo\":0,\"hi\":%d}}"
-       (Orderly.space 8));
+    "{\"id\":3,\"method\":\"census-shard\",\"params\":{\"kind\":\"orderly\",\"game\":\"max\",\"n\":9,\"lo\":0,\"hi\":40}}";
   let census_reply = ref "" in
   let census_at = ref infinity in
   let reader =
